@@ -28,7 +28,7 @@ int body(bench::BenchContext& ctx) {
   const std::int64_t lo = ctx.args().get_int("lo", suggested - 256);
   const std::int64_t hi = ctx.args().get_int("hi", suggested + 512);
 
-  const auto scan = advisor::search_mlp_intermediate(base, ctx.sim(), lo, hi);
+  const auto scan = advisor::run_mlp_search(base, ctx.sim(), lo, hi).ranked;
 
   ctx.section(str_format("top candidates in [%lld, %lld]",
                          static_cast<long long>(lo),
@@ -87,8 +87,8 @@ CODESIGN_BENCH_CASES(case_swiglu) {
              const auto base = tfm::model_by_name("llama2-7b");
              const auto suggested = static_cast<std::int64_t>(
                  std::llround(8.0 * base.hidden_size / 3.0));
-             const auto scan = advisor::search_mlp_intermediate(
-                 base, c.sim(), suggested - 256, suggested + 512);
+             const auto scan = advisor::run_mlp_search(
+                 base, c.sim(), suggested - 256, suggested + 512).ranked;
              c.consume(static_cast<std::int64_t>(scan.size()));
              std::size_t listed = 0;
              for (const auto& cand : scan) {

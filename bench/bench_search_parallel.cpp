@@ -218,7 +218,9 @@ int body(BenchContext& ctx) {
 
   // Candidate ranking ground truth: 1 thread, no cache.
   const std::vector<ShapeCandidate> reference =
-      advisor::search_joint(base, ctx.sim(), radius, 0, options);
+      advisor::run_shape_search(advisor::SearchMode::kJoint, base, ctx.sim(),
+                                radius, 0, options)
+          .ranked;
   CODESIGN_CHECK(!reference.empty(), "joint grid produced no candidates");
 
   // --- determinism: every thread count / cache setting, same ranking ----
@@ -231,11 +233,17 @@ int body(BenchContext& ctx) {
     deterministic =
         deterministic &&
         same_ranking(reference,
-                     advisor::search_joint(base, ctx.sim(), radius, 0, opt)) &&
+                     advisor::run_shape_search(advisor::SearchMode::kJoint,
+                                               base, ctx.sim(), radius, 0, opt)
+                         .ranked) &&
         same_ranking(reference,
-                     advisor::search_joint(base, cached, radius, 0, opt)) &&
+                     advisor::run_shape_search(advisor::SearchMode::kJoint,
+                                               base, cached, radius, 0, opt)
+                         .ranked) &&
         same_ranking(reference,
-                     advisor::search_joint(base, cached, radius, 0, opt));
+                     advisor::run_shape_search(advisor::SearchMode::kJoint,
+                                               base, cached, radius, 0, opt)
+                         .ranked);
   }
 
   // --- timings ----------------------------------------------------------
@@ -248,7 +256,9 @@ int body(BenchContext& ctx) {
                                 gemm::GemmSimulator& sim) {
     SearchOptions opt = options;
     opt.threads = nthreads;
-    return advisor::search_joint(base, sim, radius, 0, opt).size();
+    return advisor::run_shape_search(advisor::SearchMode::kJoint, base, sim,
+                                     radius, 0, opt)
+        .ranked.size();
   };
 
   gemm::GemmSimulator plain = ctx.sim();
@@ -445,7 +455,9 @@ CODESIGN_BENCH_CASES(search_parallel) {
              cached.enable_cache();
              for (int round = 0; round < 2; ++round) {  // cold, then warm
                const auto cands =
-                   advisor::search_joint(base, cached, 0.05, 0, options);
+                   advisor::run_shape_search(advisor::SearchMode::kJoint,
+                                             base, cached, 0.05, 0, options)
+                       .ranked;
                c.consume(static_cast<std::int64_t>(cands.size()));
                for (const auto& cand : cands) c.consume(cand.layer_time);
              }

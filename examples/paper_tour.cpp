@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     // 4. §VII-B: the SwiGLU 8h/3 trap.
     const auto llama = tfm::model_by_name("llama2-7b");
     const auto scan =
-        advisor::search_mlp_intermediate(llama, sim, 10752, 11264);
+        advisor::run_mlp_search(llama, sim, 10752, 11264).ranked;
     std::cout << str_format(
         "4. SwiGLU's suggested d_ff = 8h/3 = 10923 ranks at percentile "
         "%.2f of its range;\n   Llama-2-7B's actual 11008 ranks at %.3f "

@@ -45,7 +45,9 @@ int main(int argc, char** argv) {
     // Head-count search in detail: predicted speedup for every legal a.
     std::cout << "\nFull head-count landscape (same h, same params):\n";
     TableWriter t({"a", "h/a", "layer time", "TFLOP/s", "speedup", "rules"});
-    for (const auto& c : advisor::search_heads(cfg, sim)) {
+    for (const auto& c :
+         advisor::run_shape_search(advisor::SearchMode::kHeads, cfg, sim)
+             .ranked) {
       t.new_row()
           .cell(c.config.num_heads)
           .cell(c.config.head_dim())

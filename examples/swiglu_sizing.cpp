@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
               << largest_pow2_dividing(static_cast<std::uint64_t>(suggested))
               << ")\n";
 
-    const auto scan = advisor::search_mlp_intermediate(
-        cfg, sim, suggested - radius, suggested + radius);
+    const auto scan = advisor::run_mlp_search(
+        cfg, sim, suggested - radius, suggested + radius).ranked;
 
     std::cout << "\nBest d_ff candidates within +/-" << radius << ":\n";
     TableWriter t({"d_ff", "coeff", "pow2", "MLP TFLOP/s",

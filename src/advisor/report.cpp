@@ -86,10 +86,13 @@ std::string advise(const TransformerConfig& config,
   SearchOptions search_options;
   search_options.threads = options.search_threads;
   suggest("Head-count alternatives (same h, same parameter count)",
-          search_heads(config, sim, search_options));
+          run_shape_search(SearchMode::kHeads, config, sim, 0.1, 0,
+                           search_options)
+              .ranked);
   suggest("Hidden-size alternatives (±10%, parameter delta bounded)",
-          search_hidden(config, sim, /*radius_frac=*/0.1, /*step=*/0,
-                        search_options));
+          run_shape_search(SearchMode::kHidden, config, sim,
+                           /*radius_frac=*/0.1, /*step=*/0, search_options)
+              .ranked);
 
   if (config.vocab_size % 64 != 0) {
     os << "Vocabulary: pad v from " << config.vocab_size << " to "

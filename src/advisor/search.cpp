@@ -331,10 +331,12 @@ SearchOutcome evaluate_pipeline(
   return outcome;
 }
 
-/// Legal head counts for a given hidden size: a | h, t | a, and a practical
-/// head dimension (32 <= h/a <= 256).
+/// Legal head counts for a given hidden size: a | h, t | a, a practical
+/// head dimension (32 <= h/a <= 256), and for GQA (num_kv_heads > 0) an
+/// integral group size: num_kv_heads | a.
 std::vector<std::int64_t> legal_head_counts(std::int64_t h,
-                                            std::int64_t tensor_parallel) {
+                                            std::int64_t tensor_parallel,
+                                            std::int64_t num_kv_heads) {
   std::vector<std::int64_t> out;
   // For a divisor a of h, 32 <= h/a <= 256 confines a to
   // [ceil(h/256), floor(h/32)], so only that window needs scanning —
@@ -343,6 +345,7 @@ std::vector<std::int64_t> legal_head_counts(std::int64_t h,
   for (std::int64_t a = lo; a <= h / 32; ++a) {
     if (h % a != 0) continue;
     if (a % tensor_parallel != 0) continue;
+    if (num_kv_heads > 0 && a % num_kv_heads != 0) continue;
     out.push_back(a);
   }
   return out;
@@ -437,7 +440,8 @@ std::vector<DimensionSensitivity> sensitivity_probe(
   // preferring the next count up (smaller head dim).
   {
     const std::vector<std::int64_t> legal =
-        legal_head_counts(base.hidden_size, base.tensor_parallel);
+        legal_head_counts(base.hidden_size, base.tensor_parallel,
+                          base.num_kv_heads);
     std::int64_t pick = 0;
     for (std::int64_t a : legal) {  // ascending
       if (a > base.num_heads) { pick = a; break; }
@@ -458,7 +462,7 @@ std::vector<DimensionSensitivity> sensitivity_probe(
 
   // hidden: one granule step up, rounded to keep a | h (t | a implies
   // t | h' too). d_ff is pinned to the base's resolved width so the probe
-  // isolates h — the MLP width has its own scan (search_mlp_intermediate).
+  // isolates h — the MLP width has its own scan (run_mlp_search).
   {
     const std::int64_t granule = 64 * base.tensor_parallel;
     const std::int64_t step =
@@ -618,7 +622,8 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
   switch (mode) {
     case SearchMode::kHeads:
       for (std::int64_t a :
-           legal_head_counts(base.hidden_size, base.tensor_parallel)) {
+           legal_head_counts(base.hidden_size, base.tensor_parallel,
+                             base.num_kv_heads)) {
         TransformerConfig cfg = base.with_heads(a);
         if (a != base.num_heads) {
           cfg.name = base.name + "-a" + std::to_string(a);
@@ -655,7 +660,8 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
       break;
     case SearchMode::kJoint:
       for (std::int64_t h : hidden_grid(base, radius_frac, step)) {
-        for (std::int64_t a : legal_head_counts(h, base.tensor_parallel)) {
+        for (std::int64_t a : legal_head_counts(h, base.tensor_parallel,
+                                               base.num_kv_heads)) {
           TransformerConfig cfg = base.with_hidden(h).with_heads(a);
           if (!param_delta_ok(cfg)) continue;
           if (h != base.hidden_size || a != base.num_heads) {
@@ -689,33 +695,6 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
     record_sensitivity(outcome.sensitivity);
   }
   return outcome;
-}
-
-std::vector<ShapeCandidate> search_heads(const TransformerConfig& base,
-                                         const gemm::GemmSimulator& sim,
-                                         const SearchOptions& options) {
-  return run_shape_search(SearchMode::kHeads, base, sim, 0.1, 0, options)
-      .ranked;
-}
-
-std::vector<ShapeCandidate> search_hidden(const TransformerConfig& base,
-                                          const gemm::GemmSimulator& sim,
-                                          double radius_frac,
-                                          std::int64_t step,
-                                          const SearchOptions& options) {
-  return run_shape_search(SearchMode::kHidden, base, sim, radius_frac, step,
-                          options)
-      .ranked;
-}
-
-std::vector<ShapeCandidate> search_joint(const TransformerConfig& base,
-                                         const gemm::GemmSimulator& sim,
-                                         double radius_frac,
-                                         std::int64_t step,
-                                         const SearchOptions& options) {
-  return run_shape_search(SearchMode::kJoint, base, sim, radius_frac, step,
-                          options)
-      .ranked;
 }
 
 std::string mlp_search_fingerprint(const TransformerConfig& base,
@@ -922,12 +901,6 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
   }
   outcome.ranked = std::move(out);
   return outcome;
-}
-
-std::vector<MlpCandidate> search_mlp_intermediate(
-    const TransformerConfig& base, const gemm::GemmSimulator& sim,
-    std::int64_t lo, std::int64_t hi, const SearchOptions& options) {
-  return run_mlp_search(base, sim, lo, hi, options).ranked;
 }
 
 double mlp_candidate_percentile(const std::vector<MlpCandidate>& scan,

@@ -1,20 +1,22 @@
 // search.hpp — shape search: find nearby, better-performing architectures.
 //
-// Implements the paper's §VI-B / §VII workflows:
-//   * search_heads        — re-shape GPT-3 2.7B style: keep h, change a so
-//                           h/a lands on an efficient granule (the 1.18×).
-//   * search_hidden       — nearby hidden sizes on efficient granules, with
-//                           the parameter-count delta reported.
-//   * search_joint        — the heads × hidden grid: every legal (a, h)
-//                           combination in the neighbourhood, ranked
-//                           together. Tractable because the evaluation
-//                           pipeline parallelizes across candidates and the
-//                           simulator memoizes recurring GEMM shapes (see
-//                           docs/search_pipeline.md).
-//   * search_mlp_intermediate — the §VII-B SwiGLU brute force: scan d_ff
-//                           around (8/3)h for the best-performing MLP pair
-//                           (this is how Llama-2-7B's 11008 is validated).
-//   * pad_vocab           — the Fig-20 / Karpathy rule: next multiple of 64.
+// Implements the paper's §VI-B / §VII workflows through two entry points:
+//   * run_shape_search — one ranked sweep per SearchMode:
+//       kHeads  re-shape GPT-3 2.7B style: keep h, change a so h/a lands
+//               on an efficient granule (the 1.18×).
+//       kHidden nearby hidden sizes on efficient granules, with the
+//               parameter-count delta reported.
+//       kJoint  the heads × hidden grid: every legal (a, h) combination in
+//               the neighbourhood, ranked together. Tractable because the
+//               evaluation pipeline parallelizes across candidates and the
+//               simulator memoizes recurring GEMM shapes (see
+//               docs/search_pipeline.md).
+//   * run_mlp_search   — the §VII-B SwiGLU brute force: scan d_ff around
+//                        (8/3)h for the best-performing MLP pair (this is
+//                        how Llama-2-7B's 11008 is validated).
+// Both return the full outcome; `.ranked` is the ranked candidate list.
+// run_grid_search evaluates a caller-built grid through the same pipeline,
+// and pad_vocab is the Fig-20 / Karpathy rule: next multiple of 64.
 //
 // Every search runs the same pipeline: generate candidate configs →
 // evaluate them (in parallel when SearchOptions::threads > 1) →
@@ -184,11 +186,18 @@ SearchOutcome run_grid_search(const std::vector<TransformerConfig>& configs,
                               const gemm::GemmSimulator& sim,
                               const SearchOptions& options = {});
 
-/// The full-outcome entry point behind search_heads/search_hidden/
-/// search_joint: same candidate generation and ranking, plus the skip/
-/// truncation/resume record. `radius_frac`/`step` are ignored for kHeads.
-/// Validates options.resume against shape_search_fingerprint() (throws
-/// ConfigError on mismatch).
+/// The shape search. kHeads ranks every legal head count for the same h
+/// (parameter count unchanged by construction; the baseline is always
+/// included, speedup 1.0). kHidden ranks hidden sizes within ±`radius_frac`
+/// of h on multiples of `step` (default 64·t), keeping a and L fixed, with
+/// parameter deltas reported. kJoint crosses every hidden size of that
+/// sweep with every legal head count for it, ranked in one list —
+/// quadratically more candidates, so run it with options.threads > 1 and a
+/// cache-enabled simulator. A legal head count a satisfies a | h, t | a,
+/// 32 <= h/a <= 256 and, for GQA bases, num_kv_heads | a. `radius_frac`/
+/// `step` are ignored for kHeads. The outcome carries the skip/truncation/
+/// resume record beside `.ranked`. Validates options.resume against
+/// shape_search_fingerprint() (throws ConfigError on mismatch).
 SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
                                const gemm::GemmSimulator& sim,
                                double radius_frac = 0.1, std::int64_t step = 0,
@@ -201,32 +210,6 @@ std::string shape_search_fingerprint(SearchMode mode,
                                      const gemm::GemmSimulator& sim,
                                      double radius_frac, std::int64_t step);
 
-/// Alternative head counts for the same h (a must divide h). Candidates are
-/// ranked by predicted layer throughput; parameter count is unchanged by
-/// construction. The baseline itself is always included (speedup 1.0).
-std::vector<ShapeCandidate> search_heads(const TransformerConfig& base,
-                                         const gemm::GemmSimulator& sim,
-                                         const SearchOptions& options = {});
-
-/// Nearby hidden sizes within ±`radius_frac` of h, stepping on multiples of
-/// `step` (default 64·t), keeping a and L fixed. Parameter deltas reported.
-std::vector<ShapeCandidate> search_hidden(const TransformerConfig& base,
-                                          const gemm::GemmSimulator& sim,
-                                          double radius_frac = 0.1,
-                                          std::int64_t step = 0,
-                                          const SearchOptions& options = {});
-
-/// Joint grid search over heads × hidden: every hidden size the
-/// search_hidden sweep would visit, crossed with every legal head count for
-/// that hidden size (a | h, t | a, 32 <= h/a <= 256), ranked in one list.
-/// Quadratically more candidates than either single sweep — run it with
-/// options.threads > 1 and a cache-enabled simulator.
-std::vector<ShapeCandidate> search_joint(const TransformerConfig& base,
-                                         const gemm::GemmSimulator& sim,
-                                         double radius_frac = 0.1,
-                                         std::int64_t step = 0,
-                                         const SearchOptions& options = {});
-
 /// One d_ff candidate of the SwiGLU brute force.
 struct MlpCandidate {
   std::int64_t d_ff = 0;
@@ -238,16 +221,8 @@ struct MlpCandidate {
   bool operator==(const MlpCandidate&) const = default;
 };
 
-/// Brute-force every d_ff in [lo, hi] (inclusive) that satisfies t | d_ff —
-/// the scan starts at round_up(lo, t) and steps by t, so no iteration is
-/// wasted on non-divisible values. Evaluates the MLP GEMM pair (plus gate
-/// when SwiGLU); returns all candidates sorted by time, best first.
-std::vector<MlpCandidate> search_mlp_intermediate(
-    const TransformerConfig& base, const gemm::GemmSimulator& sim,
-    std::int64_t lo, std::int64_t hi, const SearchOptions& options = {});
-
-/// Full outcome of the MLP scan (skips, truncation, resume — the shape
-/// analogue of run_shape_search).
+/// Full outcome of the MLP scan (skips, truncation, resume — the MLP
+/// analogue of SearchOutcome).
 struct MlpSearchOutcome {
   std::vector<MlpCandidate> ranked;       ///< sorted by time, best first
   std::vector<SkippedCandidate> skipped;  ///< config carries the failing d_ff
@@ -266,6 +241,10 @@ struct MlpSearchOutcome {
   }
 };
 
+/// Brute-force every d_ff in [lo, hi] (inclusive) that satisfies t | d_ff —
+/// the scan starts at round_up(lo, t) and steps by t, so no iteration is
+/// wasted on non-divisible values. Evaluates the MLP GEMM pair (plus gate
+/// when SwiGLU); `.ranked` holds every candidate sorted by time, best first.
 MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
                                 const gemm::GemmSimulator& sim,
                                 std::int64_t lo, std::int64_t hi,

@@ -35,55 +35,31 @@ EstimateCache::Shard& EstimateCache::shard_for(const Key& key) {
   return *shards_[key.hash_value() % shards_.size()];
 }
 
-KernelEstimate EstimateCache::get_or_compute(
-    const Key& key, const std::function<KernelEstimate()>& compute) {
-  CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", key.hash_value());
-  Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      ++shard.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->estimate;
-    }
-    ++shard.misses;
-  }
-  // Compute outside the lock: a concurrent miss on the same key duplicates
-  // the (pure) computation instead of serializing every other shape behind it.
-  const KernelEstimate estimate = compute();
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.index.find(key) == shard.index.end()) {
-      insert_locked(shard, key, estimate);
-    }
-  }
-  return estimate;
-}
-
-bool EstimateCache::lookup(const Key& key, KernelEstimate* out) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
+const KernelEstimate* EstimateCache::probe_locked(Shard& shard,
+                                                   const Key& key) {
   auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     ++shard.misses;
-    return false;
+    return nullptr;
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  if (out != nullptr) *out = it->second->estimate;
+  return &it->second->estimate;
+}
+
+bool EstimateCache::lookup(const Key& key, KernelEstimate* out) {
+  CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", key.hash_value());
+  Shard& shard = shard_for(key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  const KernelEstimate* hit = probe_locked(shard, key);
+  if (hit == nullptr) return false;
+  if (out != nullptr) *out = *hit;
   return true;
 }
 
 void EstimateCache::insert(const Key& key, const KernelEstimate& estimate) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    it->second->estimate = estimate;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
   insert_locked(shard, key, estimate);
 }
 
@@ -93,7 +69,7 @@ std::size_t EstimateCache::probe_many(std::span<const Key> keys,
                                       OnHit&& on_hit) {
   const std::size_t n = keys.size();
   // Fire the lookup failpoint per key in input order, the exact sequence N
-  // scalar get_or_compute calls would produce. prob:P:seed triggers hash
+  // scalar lookup calls would produce. prob:P:seed triggers hash
   // the token so their fire set is order-independent anyway, but keeping
   // the order makes once:/every: drills line up too.
   for (std::size_t i = 0; i < n; ++i) {
@@ -122,16 +98,10 @@ std::size_t EstimateCache::probe_many(std::span<const Key> keys,
            keys[scratch.order[pos]].hash_value() % num_shards == shard_id;
          ++pos) {
       const std::uint32_t i = scratch.order[pos];
-      auto it = shard.index.find(keys[i]);
-      if (it == shard.index.end()) {
-        ++shard.misses;
-        hit[i] = 0;
-        continue;
-      }
-      ++shard.hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      on_hit(i, it->second->estimate);
-      hit[i] = 1;
+      const KernelEstimate* found = probe_locked(shard, keys[i]);
+      hit[i] = found != nullptr ? 1 : 0;
+      if (found == nullptr) continue;
+      on_hit(i, *found);
       ++total_hits;
     }
   }
@@ -185,17 +155,16 @@ void EstimateCache::insert_many(std::span<const Key> keys,
            keys[scratch.order[pos]].hash_value() % num_shards == shard_id;
          ++pos) {
       const std::uint32_t i = scratch.order[pos];
-      // Leave already-present keys untouched — the same racing-miss rule
-      // get_or_compute applies when a concurrent thread computed first.
-      if (shard.index.find(keys[i]) == shard.index.end()) {
-        insert_locked(shard, keys[i], estimates[i]);
-      }
+      insert_locked(shard, keys[i], estimates[i]);
     }
   }
 }
 
 void EstimateCache::insert_locked(Shard& shard, const Key& key,
                                   const KernelEstimate& estimate) {
+  // Leave already-present keys untouched: a concurrent miss computed the
+  // same bits first.
+  if (shard.index.contains(key)) return;
   while (shard.lru.size() >= per_shard_capacity_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();

@@ -4,9 +4,9 @@
 // transformer shapes, and identical GEMM problems recur constantly across
 // candidates (a head sweep never changes the QKV or projection GEMM, a
 // hidden sweep re-visits the same attention BMMs, the joint grid repeats
-// both). select_kernel() walks the whole tile catalogue per call, so
-// memoizing (problem, policy, GPU) → KernelEstimate turns the dominant cost
-// of the search hot path into a hash lookup.
+// both). Every miss scans the whole tile catalogue, so memoizing
+// (problem, policy, GPU) → KernelEstimate turns the dominant cost of the
+// search hot path into a hash lookup.
 //
 // Keying and invalidation rules (see docs/search_pipeline.md):
 //   * The key is the full GemmProblem value, the tile-selection policy, and
@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -41,7 +40,7 @@ struct MetricsSnapshot;
 
 namespace codesign::gemm {
 
-enum class TilePolicy;  // defined in simulator.hpp
+enum class TilePolicy;  // defined in prepared_catalogue.hpp
 
 /// Opt-in switch + sizing for the estimate cache.
 struct CacheOptions {
@@ -83,14 +82,13 @@ class EstimateCache {
 
   explicit EstimateCache(const CacheOptions& options = {});
 
-  /// Return the cached estimate for `key`, or invoke `compute`, store the
-  /// result (evicting the shard's least-recently-used entry when full), and
-  /// return it. `compute` runs outside the shard lock.
-  KernelEstimate get_or_compute(
-      const Key& key, const std::function<KernelEstimate()>& compute);
-
-  /// Test hooks: probe without computing / insert directly.
+  /// Probe one key: on a hit copy the estimate into `*out` (when non-null)
+  /// and return true. Fires the gemmsim.cache.lookup failpoint with the key
+  /// hash as its token — the one-key form of lookup_many.
   bool lookup(const Key& key, KernelEstimate* out);
+  /// Store one estimate (evicting the shard's least-recently-used entry
+  /// when full). A key already present is left untouched: a racing miss
+  /// computed the same bits — the one-key form of insert_many.
   void insert(const Key& key, const KernelEstimate& estimate);
 
   /// Reusable index scratch for the batch API: callers keep one per worker
@@ -105,7 +103,7 @@ class EstimateCache {
   /// shard so each stripe lock is taken at most once per call instead of
   /// once per key; within a shard, LRU touch order follows input order.
   /// Fires the gemmsim.cache.lookup failpoint per key in input order —
-  /// exactly the sequence N scalar get_or_compute calls would fire.
+  /// exactly the sequence N scalar lookup calls would fire.
   std::size_t lookup_many(std::span<const Key> keys, KernelEstimate* out,
                           std::uint8_t* hit, BatchScratch& scratch);
 
@@ -118,7 +116,7 @@ class EstimateCache {
   /// Batched insert of the entries whose `miss[i]` is nonzero (pass the
   /// `hit` array from lookup_many negated, or all-ones to insert
   /// everything). Grouped by shard like lookup_many; keys already present
-  /// are left untouched, mirroring get_or_compute's racing-miss semantics.
+  /// are left untouched, as in insert.
   void insert_many(std::span<const Key> keys,
                    std::span<const KernelEstimate> estimates,
                    const std::uint8_t* miss, BatchScratch& scratch);
@@ -162,6 +160,9 @@ class EstimateCache {
   };
 
   Shard& shard_for(const Key& key);
+  /// Hit/miss accounting + LRU touch; the entry's estimate or nullptr.
+  const KernelEstimate* probe_locked(Shard& shard, const Key& key);
+  /// Insert unless present, evicting the LRU entry when the shard is full.
   void insert_locked(Shard& shard, const Key& key,
                      const KernelEstimate& estimate);
   /// Shared core of lookup_many/lookup_times_many; `on_hit(i, estimate)`

@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "gemmsim/prepared_catalogue.hpp"
 #include "gpuarch/tensor_core.hpp"
 
 namespace codesign::gemm {
@@ -19,7 +20,7 @@ EfficiencyBreakdown explain_gemm(const GemmProblem& problem,
                                  const gpu::GpuSpec& gpu) {
   problem.validate();
   EfficiencyBreakdown b;
-  b.estimate = select_kernel(problem, gpu);
+  b.estimate = PreparedCatalogue(gpu, TilePolicy::kAuto).estimate_one(problem);
   const KernelEstimate& e = b.estimate;
 
   const double peak = std::max(gpu.tensor_flops(problem.dtype),

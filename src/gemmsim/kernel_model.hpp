@@ -8,10 +8,14 @@
 //   4. roofline            — take the max of compute and memory time
 //   5. launch overhead     — a floor for tiny kernels
 //
-// select_kernel() mimics the cuBLAS/cuBLASLt heuristic by evaluating the
-// whole tile catalogue and returning the fastest predicted configuration;
-// restricting the catalogue to the single largest tile models the fixed-
-// tile behaviour of Fig 5b, the full catalogue the smoothing of Fig 5c.
+// The cuBLAS/cuBLASLt-style heuristic — evaluate the whole tile catalogue,
+// keep the fastest predicted configuration — runs in one place, the
+// PreparedCatalogue scan behind GemmSimulator. select_kernel below is its
+// naive reference: estimate_all_tiles() plus a strict-< minimum, with no
+// failpoint and no observability, which tests and the fig05/ablation
+// benches compare the engine against. Restricting the catalogue to the
+// single largest tile models the fixed-tile behaviour of Fig 5b, the full
+// catalogue the smoothing of Fig 5c.
 #pragma once
 
 #include <algorithm>
@@ -74,9 +78,9 @@ struct BoundBreakdown {
 
 /// Derive the attribution from an already-computed estimate. A pure
 /// function of the KernelEstimate's stored fields — it re-runs no part of
-/// the model, so it costs nothing unless called, and the scalar estimate()
-/// path and the estimate_many/PreparedCatalogue path yield bit-identical
-/// breakdowns because their KernelEstimates are already bit-identical.
+/// the model, so it costs nothing unless called, and estimate() and
+/// estimate_many() yield bit-identical breakdowns because their
+/// KernelEstimates are already bit-identical.
 BoundBreakdown bound_breakdown(const KernelEstimate& estimate);
 
 /// Evaluate the model for a specific tile configuration.
@@ -86,10 +90,10 @@ KernelEstimate estimate_with_tile(const GemmProblem& problem,
 
 /// Problem-level terms of the tile loop — everything in the latency model
 /// that does not depend on the candidate tile, computed once per problem
-/// and shared across the whole catalogue. The scalar path
-/// (estimate_with_tile) and the batched path (PreparedCatalogue) both feed
-/// these into tile_timing(), which is what makes their results bit-identical
-/// by construction rather than by accident.
+/// and shared across the whole catalogue. estimate_with_tile (and so the
+/// select_kernel reference) and the PreparedCatalogue scan both feed these
+/// into tile_timing(), which is what makes their results bit-identical by
+/// construction rather than by accident.
 struct ProblemTerms {
   gpu::AlignmentEfficiency alignment;
   double math_base = 0.0;   ///< effective_math_rate(alignment, dtype, gpu)
@@ -112,8 +116,8 @@ struct TileTiming {
 };
 
 /// The per-(problem, tile) timing core: padded/scheduled flops, operand
-/// traffic, roofline max, launch floor. Inline so the scalar and batched
-/// paths compile the *same expression trees* — the determinism contract
+/// traffic, roofline max, launch floor. Inline so the reference and the
+/// scan compile the *same expression trees* — the determinism contract
 /// (docs/search_pipeline.md) requires their doubles to match bit for bit.
 inline TileTiming tile_timing(const TileQuantization& tile_q,
                               double wave_efficiency,
@@ -159,8 +163,9 @@ inline TileTiming tile_timing(const TileQuantization& tile_q,
   return out;
 }
 
-/// Evaluate every tile in `catalogue` and return the fastest. Deterministic:
-/// ties resolve to the earlier catalogue entry.
+/// The naive reference selector: evaluate every tile in `catalogue` and
+/// return the fastest. Deterministic: ties resolve to the earlier catalogue
+/// entry. The engine (PreparedCatalogue) must match it field for field.
 KernelEstimate select_kernel(
     const GemmProblem& problem, const gpu::GpuSpec& gpu,
     const std::vector<gpu::TileConfig>& catalogue = gpu::default_tile_catalogue());

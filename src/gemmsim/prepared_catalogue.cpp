@@ -1,12 +1,75 @@
 #include "gemmsim/prepared_catalogue.hpp"
 
+#include <cstdio>
+#include <string>
+
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/math_util.hpp"
-#include "gemmsim/simulator.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
 namespace codesign::gemm {
+
+namespace {
+
+/// One tile's line of the selection trail.
+struct TrailRow {
+  double time = 0.0;
+  double tile_quant_waste = 0.0;
+  double wave_efficiency = 0.0;
+  Bound bound = Bound::kCompute;
+};
+
+std::string format_arg(const char* fmt, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), fmt, v);
+  return buf;
+}
+
+/// The kernel-selection decision trail: one instant event per candidate
+/// tile with the efficiency factors the model weighed and why it lost (or
+/// won).
+void record_trail(const GemmProblem& problem, const ProblemTerms& terms,
+                  const std::vector<TrailRow>& rows,
+                  const std::vector<gpu::TileConfig>& tiles,
+                  std::size_t best_index, obs::EventRecorder& recorder) {
+  const double origin_us = obs::EventRecorder::time_origin_us();
+  const TrailRow& best = rows[best_index];
+  const std::string best_name = tiles[best_index].name();
+  const std::string gemm = problem.to_string();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const TrailRow& row = rows[i];
+    obs::TraceEvent ev;
+    ev.name = tiles[i].name();
+    ev.category = "select";
+    ev.phase = 'i';
+    ev.tid = obs::kTidSelection;
+    ev.ts_us = origin_us;
+    ev.clock = obs::EventClock::kSimulated;
+    ev.args.emplace_back("gemm", gemm);
+    ev.args.emplace_back("predicted_us", format_arg("%.4f", row.time * 1e6));
+    ev.args.emplace_back("alignment",
+                         format_arg("%.4f", terms.alignment.combined));
+    ev.args.emplace_back("tile_quant_waste",
+                         format_arg("%.4f", row.tile_quant_waste));
+    ev.args.emplace_back("wave_efficiency",
+                         format_arg("%.4f", row.wave_efficiency));
+    ev.args.emplace_back("bound", bound_name(row.bound));
+    if (i == best_index) {
+      ev.args.emplace_back("verdict", "selected");
+    } else {
+      ev.args.emplace_back(
+          "verdict",
+          "rejected: " +
+              format_arg("%.1f", 100.0 * (row.time / best.time - 1.0)) +
+              "% slower than " + best_name);
+    }
+    recorder.record(std::move(ev));
+  }
+}
+
+}  // namespace
 
 PreparedCatalogue::PreparedCatalogue(
     const gpu::GpuSpec& gpu, TilePolicy policy,
@@ -41,12 +104,36 @@ PreparedCatalogue::PreparedCatalogue(
 }
 
 std::size_t PreparedCatalogue::scan(const GemmProblem& problem,
-                                    const ProblemTerms& terms,
                                     double* best_time) const {
-  // The inner loop of the batched engine: flat-array reads, exact integer
-  // quantization (same formulas as tile_quantization/wave_quantization),
-  // and the shared tile_timing() core. Ties keep the earlier entry, the
-  // scalar min_element contract.
+  const bool selecting = policy_ == TilePolicy::kAuto;
+  if (selecting) {
+    // The failpoint fires once per selection with the problem hash as its
+    // token, so prob:P:seed drills skip the same candidates whichever
+    // entry point (scalar, batched, times-only) reached the scan.
+    CODESIGN_FAILPOINT_T("gemmsim.select_kernel", problem.hash_value());
+    if (obs::MetricsRegistry::enabled()) {
+      // kBestEffort: with a cache attached the scan only runs on misses,
+      // so the counts depend on hit patterns.
+      auto& reg = obs::MetricsRegistry::global();
+      reg.counter("gemmsim.select.computed", {}, obs::Stability::kBestEffort)
+          .add();
+      reg.counter("gemmsim.select.candidates", {},
+                  obs::Stability::kBestEffort)
+          .add(tile_count());
+    }
+  }
+  problem.validate();
+  const ProblemTerms terms = problem_terms(problem, *gpu_);
+  // Checked once per problem: the trail rows are buffered (the verdicts
+  // need the winner) only while a recorder is listening.
+  obs::EventRecorder* recorder =
+      selecting ? obs::EventRecorder::active() : nullptr;
+  std::vector<TrailRow> trail;
+  if (recorder != nullptr) trail.reserve(tile_count());
+
+  // Flat-array reads, exact integer quantization (same formulas as
+  // tile_quantization/wave_quantization), and the shared tile_timing()
+  // core. Ties keep the earlier entry, the reference's min_element contract.
   std::size_t best_index = 0;
   double best = 0.0;
   const std::size_t n = tm_.size();
@@ -65,10 +152,20 @@ std::size_t PreparedCatalogue::scan(const GemmProblem& problem,
         static_cast<double>(waves * blocks_per_wave_[i]);
     const TileTiming timing =
         tile_timing(tile_q, wave_efficiency, intrinsic_[i], terms);
+    if (recorder != nullptr) {
+      trail.push_back({timing.time,
+                       wasted_compute_fraction(problem, tile_q.padded_m,
+                                               tile_q.padded_n,
+                                               tile_q.padded_k),
+                       wave_efficiency, timing.bound});
+    }
     if (i == 0 || timing.time < best) {
       best_index = i;
       best = timing.time;
     }
+  }
+  if (recorder != nullptr) {
+    record_trail(problem, terms, trail, tiles_, best_index, *recorder);
   }
   *best_time = best;
   return best_index;
@@ -76,46 +173,14 @@ std::size_t PreparedCatalogue::scan(const GemmProblem& problem,
 
 KernelEstimate PreparedCatalogue::estimate_one(
     const GemmProblem& problem) const {
-  if (policy_ == TilePolicy::kFixedLargest) {
-    return estimate_with_tile(problem, tiles_.front(), *gpu_);
-  }
-  // Mirror select_kernel: the failpoint fires per selection with the
-  // problem hash as its token, so prob:P:seed drills skip the same
-  // candidates on the scalar and batched paths.
-  CODESIGN_FAILPOINT_T("gemmsim.select_kernel", problem.hash_value());
-  problem.validate();
-  if (obs::MetricsRegistry::enabled()) {
-    // The trail counters the scalar path records per catalogue walk
-    // (kBestEffort: cache hit patterns already make them scheduling-
-    // dependent).
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("gemmsim.select.computed", {}, obs::Stability::kBestEffort)
-        .add();
-    reg.counter("gemmsim.select.candidates", {}, obs::Stability::kBestEffort)
-        .add(tile_count());
-  }
-  const ProblemTerms terms = problem_terms(problem, *gpu_);
   double best_time = 0.0;
-  const std::size_t best_index = scan(problem, terms, &best_time);
+  const std::size_t best_index = scan(problem, &best_time);
   return estimate_with_tile(problem, tiles_[best_index], *gpu_);
 }
 
 double PreparedCatalogue::time_one(const GemmProblem& problem) const {
-  if (policy_ == TilePolicy::kFixedLargest) {
-    return estimate_with_tile(problem, tiles_.front(), *gpu_).time;
-  }
-  CODESIGN_FAILPOINT_T("gemmsim.select_kernel", problem.hash_value());
-  problem.validate();
-  if (obs::MetricsRegistry::enabled()) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("gemmsim.select.computed", {}, obs::Stability::kBestEffort)
-        .add();
-    reg.counter("gemmsim.select.candidates", {}, obs::Stability::kBestEffort)
-        .add(tile_count());
-  }
-  const ProblemTerms terms = problem_terms(problem, *gpu_);
   double best_time = 0.0;
-  scan(problem, terms, &best_time);
+  scan(problem, &best_time);
   return best_time;
 }
 

@@ -17,13 +17,19 @@ TileQuantization tile_quantization(const GemmProblem& p,
   q.padded_m = q.tiles_m * tile.tm;
   q.padded_n = q.tiles_n * tile.tn;
   q.padded_k = round_up(p.k, tile.tk);
+  q.wasted_compute_fraction =
+      wasted_compute_fraction(p, q.padded_m, q.padded_n, q.padded_k);
+  return q;
+}
+
+double wasted_compute_fraction(const GemmProblem& p, std::int64_t padded_m,
+                               std::int64_t padded_n, std::int64_t padded_k) {
   const double useful = static_cast<double>(p.m) * static_cast<double>(p.n) *
                         static_cast<double>(p.k);
-  const double scheduled = static_cast<double>(q.padded_m) *
-                           static_cast<double>(q.padded_n) *
-                           static_cast<double>(q.padded_k);
-  q.wasted_compute_fraction = 1.0 - useful / scheduled;
-  return q;
+  const double scheduled = static_cast<double>(padded_m) *
+                           static_cast<double>(padded_n) *
+                           static_cast<double>(padded_k);
+  return 1.0 - useful / scheduled;
 }
 
 WaveQuantization wave_quantization(std::int64_t total_tiles,

@@ -34,6 +34,11 @@ struct TileQuantization {
 TileQuantization tile_quantization(const GemmProblem& p,
                                    const gpu::TileConfig& tile);
 
+/// 1 - (m*n*k) / (padded_m*padded_n*padded_k): the wasted_compute_fraction
+/// of a problem padded to the given extents.
+double wasted_compute_fraction(const GemmProblem& p, std::int64_t padded_m,
+                               std::int64_t padded_n, std::int64_t padded_k);
+
 /// Wave-quantization summary.
 struct WaveQuantization {
   std::int64_t blocks_per_wave = 0;  ///< sm_count * blocks_per_sm

@@ -1,9 +1,6 @@
 #include "gemmsim/simulator.hpp"
 
 #include "common/error.hpp"
-#include "gemmsim/roofline.hpp"
-#include "gpuarch/tile_config.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/req_scope.hpp"
 
@@ -23,14 +20,6 @@ GemmSimulator GemmSimulator::for_gpu(const std::string& gpu_name,
 
 namespace {
 
-KernelEstimate estimate_uncached(const GemmProblem& problem, TilePolicy policy,
-                                 const gpu::GpuSpec& gpu) {
-  if (policy == TilePolicy::kFixedLargest) {
-    return estimate_with_tile(problem, gpu::largest_tile(), gpu);
-  }
-  return select_kernel(problem, gpu);
-}
-
 /// Per-estimate counters, recorded from the *returned* estimate so the
 /// numbers are identical whether it came from the cache or a fresh compute
 /// — which makes them deterministic at any thread count and cache state
@@ -48,19 +37,31 @@ void record_estimate_metrics(const KernelEstimate& est) {
       .add(static_cast<std::uint64_t>(est.tile_q.tiles_total));
 }
 
+/// Count returned estimates: the metrics above (in input order, exactly as
+/// N scalar estimate() calls would) and the serve request's attribution.
+void count_estimates(std::span<const KernelEstimate> estimates) {
+  if (obs::MetricsRegistry::enabled()) {
+    for (const KernelEstimate& est : estimates) record_estimate_metrics(est);
+  }
+  if (auto* rs = obs::RequestScope::current()) {
+    rs->estimates += estimates.size();
+  }
+}
+
 }  // namespace
 
 KernelEstimate GemmSimulator::estimate(const GemmProblem& problem) const {
   KernelEstimate est;
-  if (cache_ != nullptr) {
-    est = cache_->get_or_compute(
-        EstimateCache::Key{problem, policy_, gpu_},
-        [&] { return estimate_uncached(problem, policy_, *gpu_); });
+  if (cache_ == nullptr) {
+    est = prepared_->estimate_one(problem);
   } else {
-    est = estimate_uncached(problem, policy_, *gpu_);
+    const EstimateCache::Key key{problem, policy_, gpu_};
+    if (!cache_->lookup(key, &est)) {
+      est = prepared_->estimate_one(problem);
+      cache_->insert(key, est);
+    }
   }
-  if (obs::MetricsRegistry::enabled()) record_estimate_metrics(est);
-  if (auto* rs = obs::RequestScope::current()) rs->estimates += 1;
+  count_estimates({&est, 1});
   return est;
 }
 
@@ -80,13 +81,34 @@ double GemmSimulator::throughput_tflops(const GemmProblem& problem) const {
   return estimate(problem).tflops();
 }
 
-double GemmSimulator::sequence_latency(
-    const std::vector<GemmProblem>& problems) const {
-  // Delegates to the batched overload: per-kernel times come from one
-  // estimate_times() call and are summed in sequence order, bit-identical
-  // to a latency() loop (a batch item is exactly an estimate() call).
-  BatchWorkspace workspace;
-  return sequence_latency(std::span<const GemmProblem>(problems), workspace);
+void GemmSimulator::make_keys(std::span<const GemmProblem> problems,
+                              BatchWorkspace& workspace) const {
+  workspace.keys.clear();
+  workspace.keys.reserve(problems.size());
+  for (const GemmProblem& p : problems) {
+    workspace.keys.push_back(EstimateCache::Key{p, policy_, gpu_});
+  }
+  workspace.hit.resize(problems.size());
+}
+
+void GemmSimulator::resolve_misses(std::span<const GemmProblem> problems,
+                                   std::span<KernelEstimate> estimates,
+                                   double* times,
+                                   BatchWorkspace& workspace) const {
+  bool any_miss = false;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    if (workspace.hit[i] != 0) continue;
+    estimates[i] = prepared_->estimate_one(problems[i]);
+    if (times != nullptr) times[i] = estimates[i].time;
+    any_miss = true;
+  }
+  if (!any_miss) return;
+  // Flip hit flags into miss flags for the grouped insert. A duplicate
+  // problem within one batch computes twice (bit-identical results) and
+  // stores once — the same racing-miss rule two scalar threads follow.
+  for (std::uint8_t& h : workspace.hit) h ^= 1;
+  cache_->insert_many(workspace.keys, estimates, workspace.hit.data(),
+                      workspace.scratch);
 }
 
 void GemmSimulator::estimate_many(std::span<const GemmProblem> problems,
@@ -96,51 +118,17 @@ void GemmSimulator::estimate_many(std::span<const GemmProblem> problems,
                  "estimate_many: problems/out size mismatch");
   const std::size_t n = problems.size();
   if (n == 0) return;
-  if (obs::EventRecorder::active() != nullptr) {
-    // Trace fidelity: the selection trail emits one event per candidate
-    // tile per uncached selection, interleaved with cache probes in scalar
-    // order. Reproducing that from the batch would re-derive the scalar
-    // path, so traced runs just take it.
-    for (std::size_t i = 0; i < n; ++i) out[i] = estimate(problems[i]);
-    return;
-  }
   if (cache_ == nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = prepared_->estimate_one(problems[i]);
     }
   } else {
-    workspace.keys.clear();
-    workspace.keys.reserve(n);
-    for (const GemmProblem& p : problems) {
-      workspace.keys.push_back(EstimateCache::Key{p, policy_, gpu_});
-    }
-    workspace.hit.resize(n);
+    make_keys(problems, workspace);
     cache_->lookup_many(workspace.keys, out.data(), workspace.hit.data(),
                         workspace.scratch);
-    bool any_miss = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (workspace.hit[i] == 0) {
-        out[i] = prepared_->estimate_one(problems[i]);
-        any_miss = true;
-      }
-    }
-    if (any_miss) {
-      // Flip hit flags into miss flags for the grouped insert. A duplicate
-      // problem within one batch computes twice (bit-identical results) and
-      // stores once — the same racing-miss rule two scalar threads follow.
-      for (std::size_t i = 0; i < n; ++i) workspace.hit[i] ^= 1;
-      cache_->insert_many(workspace.keys, out, workspace.hit.data(),
-                          workspace.scratch);
-    }
+    resolve_misses(problems, out, nullptr, workspace);
   }
-  if (obs::MetricsRegistry::enabled()) {
-    // Recorded from the returned estimates in input order, exactly as N
-    // scalar estimate() calls would — deterministic counters stay identical.
-    for (std::size_t i = 0; i < n; ++i) record_estimate_metrics(out[i]);
-  }
-  // Request attribution (serve): a batch item is exactly one estimate. The
-  // traced path above already counted through the scalar calls.
-  if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
+  count_estimates(out);
 }
 
 void GemmSimulator::estimate_many(std::span<const GemmProblem> problems,
@@ -156,10 +144,9 @@ void GemmSimulator::estimate_times(std::span<const GemmProblem> problems,
                  "estimate_times: problems/out size mismatch");
   const std::size_t n = problems.size();
   if (n == 0) return;
-  if (obs::EventRecorder::active() != nullptr ||
-      obs::MetricsRegistry::enabled()) {
+  if (obs::MetricsRegistry::enabled()) {
     // Metrics want the full estimate per item (tile/bound/wave counters),
-    // so observability runs route through estimate_many and copy the times.
+    // so metrics-on runs route through estimate_many and copy the times.
     workspace.estimates.resize(n);
     estimate_many(problems, workspace.estimates, workspace);
     for (std::size_t i = 0; i < n; ++i) out[i] = workspace.estimates[i].time;
@@ -169,46 +156,16 @@ void GemmSimulator::estimate_times(std::span<const GemmProblem> problems,
     for (std::size_t i = 0; i < n; ++i) {
       out[i] = prepared_->time_one(problems[i]);
     }
-    if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
-    return;
-  }
-  workspace.keys.clear();
-  workspace.keys.reserve(n);
-  for (const GemmProblem& p : problems) {
-    workspace.keys.push_back(EstimateCache::Key{p, policy_, gpu_});
-  }
-  workspace.hit.resize(n);
-  cache_->lookup_times_many(workspace.keys, out.data(), workspace.hit.data(),
-                            workspace.scratch);
-  bool any_miss = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (workspace.hit[i] == 0) {
-      if (!any_miss) {
-        workspace.estimates.resize(n);
-        any_miss = true;
-      }
-      // Misses materialize the full estimate so the insert below leaves the
-      // cache in exactly the state N scalar estimate() calls would.
-      workspace.estimates[i] = prepared_->estimate_one(problems[i]);
-      out[i] = workspace.estimates[i].time;
-    }
-  }
-  if (any_miss) {
-    for (std::size_t i = 0; i < n; ++i) workspace.hit[i] ^= 1;
-    cache_->insert_many(workspace.keys, workspace.estimates,
-                        workspace.hit.data(), workspace.scratch);
+  } else {
+    make_keys(problems, workspace);
+    cache_->lookup_times_many(workspace.keys, out.data(), workspace.hit.data(),
+                              workspace.scratch);
+    // Misses materialize the full estimate so the insert leaves the cache
+    // in exactly the state estimate_many would.
+    workspace.estimates.resize(n);
+    resolve_misses(problems, workspace.estimates, out.data(), workspace);
   }
   if (auto* rs = obs::RequestScope::current()) rs->estimates += n;
-}
-
-double GemmSimulator::sequence_latency(std::span<const GemmProblem> problems,
-                                       BatchWorkspace& workspace) const {
-  CODESIGN_CHECK(!problems.empty(), "empty kernel sequence");
-  workspace.times.resize(problems.size());
-  estimate_times(problems, workspace.times, workspace);
-  double total = 0.0;
-  for (const double t : workspace.times) total += t;
-  return total;
 }
 
 DesResult GemmSimulator::simulate(const GemmProblem& problem,

@@ -21,12 +21,6 @@
 
 namespace codesign::gemm {
 
-/// How the simulated kernel library picks its thread-block tile.
-enum class TilePolicy {
-  kAuto,         ///< cuBLASLt-style heuristic over the full catalogue (Fig 5c)
-  kFixedLargest  ///< always the 256×128 tile (Fig 5b's fixed-kernel behaviour)
-};
-
 class GemmSimulator {
  public:
   explicit GemmSimulator(const gpu::GpuSpec& gpu,
@@ -48,9 +42,6 @@ class GemmSimulator {
   /// TFLOP/s of useful work (the y-axis of all the paper's figures).
   double throughput_tflops(const GemmProblem& problem) const;
 
-  /// Sum of per-kernel latencies for a kernel sequence (one CUDA stream).
-  double sequence_latency(const std::vector<GemmProblem>& problems) const;
-
   /// Reusable scratch for the batched entry points below. Keep one per
   /// worker thread and pass it to every call — steady-state batch calls
   /// then allocate nothing.
@@ -58,20 +49,18 @@ class GemmSimulator {
     std::vector<EstimateCache::Key> keys;
     std::vector<std::uint8_t> hit;
     std::vector<KernelEstimate> estimates;
-    std::vector<double> times;
     EstimateCache::BatchScratch scratch;
   };
 
   /// Batched estimate: fills out[i] with exactly what estimate(problems[i])
   /// returns — bit-identical, any cache state, any thread count. The batch
-  /// amortizes the per-call costs of the scalar path: cache probes are
-  /// grouped per stripe lock (EstimateCache::lookup_many), misses scan the
-  /// precompiled SoA tile tables (PreparedCatalogue), and validation /
-  /// metrics / failpoint checks run per batch item without per-call setup.
-  /// Divergences from N scalar calls are confined to best-effort
-  /// observability: cache hit/miss counter splits, LRU recency order, and
-  /// order-dependent (once:/every:) failpoint triggers — see
-  /// docs/search_pipeline.md for the contract.
+  /// amortizes the per-call costs: cache probes are grouped per stripe lock
+  /// (EstimateCache::lookup_many) and misses go to the same
+  /// PreparedCatalogue scan estimate() uses. Divergences from N scalar
+  /// calls are confined to best-effort observability: cache hit/miss
+  /// counter splits (a problem repeated within one batch misses each
+  /// time), LRU recency order, and order-dependent (once:/every:)
+  /// failpoint triggers — see docs/search_pipeline.md for the contract.
   void estimate_many(std::span<const GemmProblem> problems,
                      std::span<KernelEstimate> out,
                      BatchWorkspace& workspace) const;
@@ -87,12 +76,8 @@ class GemmSimulator {
   void estimate_times(std::span<const GemmProblem> problems,
                       std::span<double> out, BatchWorkspace& workspace) const;
 
-  /// Batched overload of sequence_latency: sums estimate_times() outputs in
-  /// input order — bit-identical to the scalar overload.
-  double sequence_latency(std::span<const GemmProblem> problems,
-                          BatchWorkspace& workspace) const;
-
-  /// The precompiled tile tables this simulator scans on a cache miss.
+  /// The tile selector: every uncached estimate and every cache miss is a
+  /// scan of these precompiled tables.
   const PreparedCatalogue& prepared() const { return *prepared_; }
 
   /// Discrete-event cross-check of the analytical estimate.
@@ -117,6 +102,17 @@ class GemmSimulator {
   const std::shared_ptr<EstimateCache>& cache() const { return cache_; }
 
  private:
+  /// Build the batch's cache keys into workspace.keys and size its hit
+  /// flags.
+  void make_keys(std::span<const GemmProblem> problems,
+                 BatchWorkspace& workspace) const;
+  /// Select every problem the cache probe missed (workspace.hit[i] == 0)
+  /// into `estimates` — copying its time to times[i] when `times` is set —
+  /// and insert them with one grouped call.
+  void resolve_misses(std::span<const GemmProblem> problems,
+                      std::span<KernelEstimate> estimates, double* times,
+                      BatchWorkspace& workspace) const;
+
   const gpu::GpuSpec* gpu_;  ///< registry-owned, never null
   TilePolicy policy_;
   std::shared_ptr<EstimateCache> cache_;  ///< null = caching disabled

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
+#include "gemmsim/prepared_catalogue.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 
@@ -103,10 +104,11 @@ double simulate_kernel_sequence(const std::vector<GemmProblem>& problems,
                                 const gpu::GpuSpec& gpu,
                                 const DesOptions& options) {
   CODESIGN_CHECK(!problems.empty(), "kernel sequence must not be empty");
+  const PreparedCatalogue selector(gpu, TilePolicy::kAuto);
   double total = 0.0;
   DesOptions opt = options;
   for (const GemmProblem& p : problems) {
-    const KernelEstimate best = select_kernel(p, gpu);
+    const KernelEstimate best = selector.estimate_one(p);
     const DesResult r = simulate_kernel(p, best.tile, gpu, opt);
     total += r.makespan + gpu.kernel_launch_overhead;
     // Decorrelate noise across kernels deterministically.

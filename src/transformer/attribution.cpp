@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/strings.hpp"
 #include "transformer/layer_model.hpp"
 
 namespace codesign::tfm {
@@ -40,11 +39,37 @@ gemm::Bound dominant_bound(const BoundHistogram& h) {
   return static_cast<gemm::Bound>(best);
 }
 
-std::string gemm_detail(const gemm::KernelEstimate& est) {
-  return str_format("%s tile=%s bound=%s waves=%lld",
-                    est.problem.to_string().c_str(), est.tile.name().c_str(),
-                    gemm::bound_name(est.bound),
-                    static_cast<long long>(est.wave_q.waves));
+/// The op's attribution: gemm::bound_breakdown for a GEMM estimate; for
+/// flash and elementwise ops, the limiting roof's body plus the launch
+/// floor (neither has tile/wave terms in the model).
+gemm::BoundBreakdown timing_breakdown(const OpTiming& t) {
+  if (t.gemm != nullptr) return gemm::bound_breakdown(*t.gemm);
+  gemm::BoundBreakdown b;
+  b.bound = t.bound;
+  if (t.time > 0.0) {
+    const double body = std::max(t.compute_time, t.memory_time);
+    b.launch = t.launch / t.time;
+    if (t.compute_time >= t.memory_time) {
+      b.compute = body / t.time;
+    } else {
+      b.memory = body / t.time;
+    }
+  }
+  return b;
+}
+
+/// One GEMM family's record (count 1; share filled by the caller).
+FamilyAttribution family_of(const MappedOp& op, const OpTiming& t,
+                            const gemm::BoundBreakdown& b) {
+  FamilyAttribution f;
+  f.op = op.op;
+  f.name = op_name(op.op);
+  f.count = 1;
+  f.time = t.time;
+  f.bound = b.bound;
+  f.breakdown = b;
+  f.detail = op_latency(op, t).detail;
+  return f;
 }
 
 }  // namespace
@@ -69,74 +94,18 @@ LayerBranch op_branch(LayerOp op) {
   }
 }
 
-gemm::BoundBreakdown op_breakdown(const MappedOp& op,
-                                  const gemm::GemmSimulator& sim,
-                                  double* time_out) {
-  if (op.gemm.has_value()) {
-    const gemm::KernelEstimate est = sim.estimate(*op.gemm);
-    if (time_out != nullptr) *time_out = est.time;
-    return gemm::bound_breakdown(est);
-  }
-  gemm::BoundBreakdown b;
-  if (op.flash.has_value()) {
-    // The fused kernel has no tile/wave terms in the model; its time splits
-    // into the limiting roof's body plus the launch floor.
-    const gemm::FlashAttentionEstimate est = sim.estimate_flash(*op.flash);
-    b.bound = est.bound;
-    if (est.time > 0.0) {
-      const double body = std::max(est.compute_time, est.memory_time);
-      b.launch = (est.time - body) / est.time;
-      if (est.compute_time >= est.memory_time) {
-        b.compute = body / est.time;
-      } else {
-        b.memory = body / est.time;
-      }
-    }
-    if (time_out != nullptr) *time_out = est.time;
-    return b;
-  }
-  // Elementwise/reduction kernel: DRAM traffic plus the launch floor — the
-  // exact expression op_latency()/layer_total_time() use.
-  const double launch = sim.gpu().kernel_launch_overhead;
-  const double traffic =
-      op.elementwise_bytes / sim.gpu().achievable_bandwidth();
-  const double time = traffic + launch;
-  b.bound = launch > traffic ? gemm::Bound::kLaunch : gemm::Bound::kMemory;
-  if (time > 0.0) {
-    b.memory = traffic / time;
-    b.launch = launch / time;
-  }
-  if (time_out != nullptr) *time_out = time;
-  return b;
-}
-
 LayerAttribution attribute_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim) {
-  config.validate();
+  LayerWorkspace ws;
+  walk_layer(config, sim, ws, /*with_estimates=*/true);
   LayerAttribution r;
   r.config = config;
   gemm::BoundBreakdown acc;
-  for (const MappedOp& op : layer_schedule(config)) {
-    double t = 0.0;
-    gemm::BoundBreakdown b;
-    FamilyAttribution f;
-    bool is_family = false;
-    if (op.gemm.has_value()) {
-      const gemm::KernelEstimate est = sim.estimate(*op.gemm);
-      t = est.time;
-      b = gemm::bound_breakdown(est);
-      f.detail = gemm_detail(est);
-      is_family = true;
-    } else {
-      b = op_breakdown(op, sim, &t);
-      if (op.flash.has_value()) {
-        f.detail = str_format("flash(s=%lld d=%lld) bound=%s",
-                              static_cast<long long>(op.flash->seq),
-                              static_cast<long long>(op.flash->head_dim),
-                              gemm::bound_name(b.bound));
-        is_family = true;
-      }
-    }
+  for (std::size_t i = 0; i < ws.ops.size(); ++i) {
+    const MappedOp& op = ws.ops[i];
+    const OpTiming& timing = ws.timings[i];
+    const double t = timing.time;
+    const gemm::BoundBreakdown b = timing_breakdown(timing);
     r.total_time += t;
     const int bi = static_cast<int>(b.bound);
     r.histogram.count[static_cast<std::size_t>(bi)] += 1;
@@ -147,15 +116,9 @@ LayerAttribution attribute_layer(const TransformerConfig& config,
       case LayerBranch::kOther: r.other_time += t; break;
     }
     weighted_add(acc, b, t);
-    if (is_family) {
+    if (op.gemm.has_value() || op.flash.has_value()) {
       r.gemm_time += t;
-      f.op = op.op;
-      f.name = op_name(op.op);
-      f.count = 1;
-      f.time = t;
-      f.bound = b.bound;
-      f.breakdown = b;
-      r.gemms.push_back(std::move(f));
+      r.gemms.push_back(family_of(op, timing, b));
     } else {
       r.non_gemm_time += t;
     }
@@ -192,24 +155,17 @@ ModelAttribution attribute_model(const TransformerConfig& config,
   weighted_add(acc, r.layer.breakdown, layers * r.layer.total_time);
 
   for (const MappedOp& op : model_level_ops(config)) {
-    double t = 0.0;
-    gemm::BoundBreakdown b;
+    gemm::KernelEstimate est;
+    OpTiming timing;
     if (op.gemm.has_value()) {
-      const gemm::KernelEstimate est = sim.estimate(*op.gemm);
-      t = est.time;
-      b = gemm::bound_breakdown(est);
-      FamilyAttribution f;
-      f.op = op.op;
-      f.name = op_name(op.op);
-      f.count = 1;
-      f.time = t;
-      f.bound = b.bound;
-      f.breakdown = b;
-      f.detail = gemm_detail(est);
-      r.gemms.push_back(std::move(f));
+      est = sim.estimate(*op.gemm);
+      timing = OpTiming::of_gemm(est);
     } else {
-      b = op_breakdown(op, sim, &t);
+      timing = non_gemm_timing(op, sim);
     }
+    const double t = timing.time;
+    const gemm::BoundBreakdown b = timing_breakdown(timing);
+    if (op.gemm.has_value()) r.gemms.push_back(family_of(op, timing, b));
     switch (op.op) {
       case LayerOp::kEmbeddingLookup: r.embedding_time = t; break;
       case LayerOp::kFinalLayerNorm: r.final_ln_time = t; break;

@@ -97,12 +97,4 @@ struct ModelAttribution {
 ModelAttribution attribute_model(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim);
 
-/// Attribution of one scheduled op (exposed for tests): dispatches to
-/// gemm::bound_breakdown for GEMMs, derives launch/compute/memory splits
-/// for flash and elementwise ops from the same bandwidth model
-/// op_latency() uses. Returns the op's time through `time_out`.
-gemm::BoundBreakdown op_breakdown(const MappedOp& op,
-                                  const gemm::GemmSimulator& sim,
-                                  double* time_out);
-
 }  // namespace codesign::tfm

@@ -59,7 +59,7 @@ std::int64_t TransformerConfig::d_ff() const {
     // The 8h/3 suggestion from Shazeer keeps SwiGLU's 3-matrix MLP at the
     // parameter count of the classic 2-matrix 4h MLP (paper §VII-B). The
     // paper's point is precisely that this default is only a suggestion;
-    // advisor::search_mlp_intermediate finds better-aligned values.
+    // advisor::run_mlp_search finds better-aligned values.
     return static_cast<std::int64_t>(std::llround(8.0 * hidden_size / 3.0));
   }
   return 4 * hidden_size;

@@ -1,21 +1,48 @@
 #include "transformer/layer_model.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "transformer/flops.hpp"
 
 namespace codesign::tfm {
 
-OpLatency op_latency(const MappedOp& op, const gemm::GemmSimulator& sim) {
+OpTiming non_gemm_timing(const MappedOp& op,
+                         const gemm::GemmSimulator& sim) {
+  CODESIGN_CHECK(!op.gemm.has_value(), "non_gemm_timing given a GEMM op");
+  OpTiming t;
+  if (op.flash.has_value()) {
+    const gemm::FlashAttentionEstimate est = sim.estimate_flash(*op.flash);
+    t.time = est.time;
+    t.compute_time = est.compute_time;
+    t.memory_time = est.memory_time;
+    t.launch = est.time - std::max(est.compute_time, est.memory_time);
+    t.tflops = est.tflops();
+    t.bound = est.bound;
+    return t;
+  }
+  // Memory-bound elementwise/reduction kernel: DRAM traffic plus the
+  // launch floor.
+  t.memory_time = op.elementwise_bytes / sim.gpu().achievable_bandwidth();
+  t.launch = sim.gpu().kernel_launch_overhead;
+  t.time = t.memory_time + t.launch;
+  t.tflops = op.flops > 0.0 ? op.flops / t.time / 1e12 : 0.0;
+  t.bound = t.launch > t.memory_time ? gemm::Bound::kLaunch
+                                     : gemm::Bound::kMemory;
+  return t;
+}
+
+OpLatency op_latency(const MappedOp& op, const OpTiming& timing) {
   OpLatency out;
   out.op = op.op;
   out.name = op_name(op.op);
   out.flops = op.flops;
-
+  out.time = timing.time;
   if (op.gemm.has_value()) {
-    const gemm::KernelEstimate est = sim.estimate(*op.gemm);
+    CODESIGN_CHECK(timing.gemm != nullptr, "GEMM op timed without estimate");
+    const gemm::KernelEstimate& est = *timing.gemm;
     out.is_gemm = true;
-    out.time = est.time;
     out.tflops = est.tflops();
     out.detail = str_format("%s tile=%s bound=%s waves=%lld",
                             op.gemm->to_string().c_str(),
@@ -24,26 +51,24 @@ OpLatency op_latency(const MappedOp& op, const gemm::GemmSimulator& sim) {
                             static_cast<long long>(est.wave_q.waves));
     return out;
   }
-
+  out.tflops = timing.tflops;
   if (op.flash.has_value()) {
-    const gemm::FlashAttentionEstimate est = sim.estimate_flash(*op.flash);
     out.is_gemm = true;  // fused matmuls count toward the GEMM share
-    out.time = est.time;
-    out.tflops = est.tflops();
     out.detail = str_format("flash(s=%lld d=%lld) bound=%s",
                             static_cast<long long>(op.flash->seq),
                             static_cast<long long>(op.flash->head_dim),
-                            gemm::bound_name(est.bound));
+                            gemm::bound_name(timing.bound));
     return out;
   }
-
-  // Non-GEMM: memory-bound elementwise/reduction kernel.
   out.bytes = op.elementwise_bytes;
-  out.time = op.elementwise_bytes / sim.gpu().achievable_bandwidth() +
-             sim.gpu().kernel_launch_overhead;
-  out.tflops = op.flops > 0.0 ? op.flops / out.time / 1e12 : 0.0;
   out.detail = human_bytes(op.elementwise_bytes) + " traffic";
   return out;
+}
+
+OpLatency op_latency(const MappedOp& op, const gemm::GemmSimulator& sim) {
+  if (!op.gemm.has_value()) return op_latency(op, non_gemm_timing(op, sim));
+  const gemm::KernelEstimate est = sim.estimate(*op.gemm);
+  return op_latency(op, OpTiming::of_gemm(est));
 }
 
 namespace {
@@ -93,66 +118,61 @@ double LayerLatencyReport::gemm_share_of(LayerOp op) const {
   return t / gemm_time;
 }
 
-double layer_total_time(const TransformerConfig& config,
-                        const gemm::GemmSimulator& sim) {
-  // Must stay in lockstep with op_latency()/analyze_layer(): same estimates,
-  // summed in the same op order, so the result is bit-identical to
-  // analyze_layer().total_time. What it skips is everything reporting-only —
-  // the OpLatency records and their formatted detail strings — which
-  // dominate the cost of a search evaluating thousands of candidates.
-  config.validate();
-  double total = 0.0;
-  for (const MappedOp& op : schedule_for(config)) {
-    if (op.gemm.has_value()) {
-      total += sim.estimate(*op.gemm).time;
-    } else if (op.flash.has_value()) {
-      total += sim.estimate_flash(*op.flash).time;
-    } else {
-      total += op.elementwise_bytes / sim.gpu().achievable_bandwidth() +
-               sim.gpu().kernel_launch_overhead;
-    }
-  }
-  return total;
-}
-
-double layer_total_time(const TransformerConfig& config,
-                        const gemm::GemmSimulator& sim, LayerWorkspace& ws) {
-  // The batched hot path: same schedule, same estimates, same summation
-  // order as the scalar overload — only the mechanics change. GEMMs are
-  // gathered in op order and resolved with one estimate_times() call
-  // (grouped cache probes, SoA scan on misses); flash and elementwise
-  // terms are computed inline exactly as the scalar loop does, so the
-  // left-to-right sum adds the identical doubles in the identical order.
+void walk_layer(const TransformerConfig& config,
+                const gemm::GemmSimulator& sim, LayerWorkspace& ws,
+                bool with_estimates) {
   config.validate();
   schedule_for_into(config, ws.ops);
   ws.gemms.clear();
   for (const MappedOp& op : ws.ops) {
     if (op.gemm.has_value()) ws.gemms.push_back(*op.gemm);
   }
-  ws.gemm_times.resize(ws.gemms.size());
-  sim.estimate_times(ws.gemms, ws.gemm_times, ws.batch);
-  double total = 0.0;
+  if (with_estimates) {
+    ws.gemm_estimates.resize(ws.gemms.size());
+    sim.estimate_many(ws.gemms, ws.gemm_estimates, ws.batch);
+  } else {
+    ws.gemm_times.resize(ws.gemms.size());
+    sim.estimate_times(ws.gemms, ws.gemm_times, ws.batch);
+  }
+  ws.timings.clear();
   std::size_t g = 0;
   for (const MappedOp& op : ws.ops) {
-    if (op.gemm.has_value()) {
-      total += ws.gemm_times[g++];
-    } else if (op.flash.has_value()) {
-      total += sim.estimate_flash(*op.flash).time;
+    if (!op.gemm.has_value()) {
+      ws.timings.push_back(non_gemm_timing(op, sim));
+      continue;
+    }
+    if (with_estimates) {
+      ws.timings.push_back(OpTiming::of_gemm(ws.gemm_estimates[g++]));
     } else {
-      total += op.elementwise_bytes / sim.gpu().achievable_bandwidth() +
-               sim.gpu().kernel_launch_overhead;
+      OpTiming t;
+      t.time = ws.gemm_times[g++];
+      ws.timings.push_back(t);
     }
   }
+}
+
+double layer_total_time(const TransformerConfig& config,
+                        const gemm::GemmSimulator& sim, LayerWorkspace& ws) {
+  walk_layer(config, sim, ws, /*with_estimates=*/false);
+  double total = 0.0;
+  for (const OpTiming& t : ws.timings) total += t.time;
   return total;
+}
+
+double layer_total_time(const TransformerConfig& config,
+                        const gemm::GemmSimulator& sim) {
+  LayerWorkspace ws;
+  return layer_total_time(config, sim, ws);
 }
 
 LayerLatencyReport analyze_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim) {
-  config.validate();
+  LayerWorkspace ws;
+  walk_layer(config, sim, ws, /*with_estimates=*/true);
   LayerLatencyReport r;
   r.config = config;
-  for (const MappedOp& op : schedule_for(config)) {
-    r.ops.push_back(op_latency(op, sim));
+  for (std::size_t i = 0; i < ws.ops.size(); ++i) {
+    r.ops.push_back(op_latency(ws.ops[i], ws.timings[i]));
   }
   for (const OpLatency& o : r.ops) {
     r.total_time += o.time;

@@ -57,33 +57,67 @@ struct LayerLatencyReport {
 /// totals stay bit-identical to analyze_layer().
 std::vector<MappedOp> layer_schedule(const TransformerConfig& config);
 
+/// The simulator's prediction for one scheduled op. Flash and elementwise
+/// ops carry their roofline terms; a GEMM op carries its time and, on a
+/// walk with estimates, the KernelEstimate itself.
+struct OpTiming {
+  double time = 0.0;          ///< seconds; every layer total sums these
+  double compute_time = 0.0;  ///< math pipeline (0 for elementwise ops)
+  double memory_time = 0.0;   ///< DRAM pipeline
+  double launch = 0.0;        ///< time above the limiting pipeline
+  double tflops = 0.0;        ///< useful math rate (0 for data movement)
+  gemm::Bound bound = gemm::Bound::kMemory;
+  /// GEMM ops only: the estimate (not owned), or null on a times-only walk.
+  const gemm::KernelEstimate* gemm = nullptr;
+
+  /// A GEMM op's timing from its estimate (which must outlive it).
+  static OpTiming of_gemm(const gemm::KernelEstimate& estimate) {
+    OpTiming t;
+    t.time = estimate.time;
+    t.gemm = &estimate;
+    return t;
+  }
+};
+
+/// Time one flash or elementwise op: the fused FlashAttention estimate, or
+/// the memory-bound model (DRAM traffic / achievable bandwidth + launch).
+OpTiming non_gemm_timing(const MappedOp& op, const gemm::GemmSimulator& sim);
+
+/// Reusable buffers for the schedule walk. Keep one per worker thread;
+/// after warm-up, walking a candidate allocates nothing.
+struct LayerWorkspace {
+  std::vector<MappedOp> ops;              ///< the schedule, in order
+  std::vector<OpTiming> timings;          ///< timings[i] belongs to ops[i]
+  std::vector<gemm::GemmProblem> gemms;   ///< the layer's GEMMs, in op order
+  std::vector<double> gemm_times;         ///< times-only walks
+  std::vector<gemm::KernelEstimate> gemm_estimates;  ///< walks w/ estimates
+  gemm::GemmSimulator::BatchWorkspace batch;
+};
+
+/// The one schedule walk behind every layer entry point: lays out
+/// layer_schedule(config) in ws.ops, resolves all of its GEMMs with one
+/// batched call (estimate_many when `with_estimates`, else the times-only
+/// estimate_times), times flash and elementwise ops with non_gemm_timing,
+/// and fills ws.timings in op order.
+void walk_layer(const TransformerConfig& config,
+                const gemm::GemmSimulator& sim, LayerWorkspace& ws,
+                bool with_estimates);
+
 /// Analyze one transformer layer on the simulator's GPU.
 LayerLatencyReport analyze_layer(const TransformerConfig& config,
                                  const gemm::GemmSimulator& sim);
 
 /// Just the layer's total time, bit-identical to
 /// analyze_layer().total_time but without building the per-op report
-/// (no OpLatency records, no detail strings). The search hot path: a
-/// design-space sweep only ranks by this number.
-double layer_total_time(const TransformerConfig& config,
-                        const gemm::GemmSimulator& sim);
-
-/// Reusable buffers for the batched layer evaluation. Keep one per worker
-/// thread; after warm-up, evaluating a candidate allocates nothing.
-struct LayerWorkspace {
-  std::vector<MappedOp> ops;               ///< reused schedule buffer
-  std::vector<gemm::GemmProblem> gemms;    ///< the layer's GEMMs, in op order
-  std::vector<double> gemm_times;
-  gemm::GemmSimulator::BatchWorkspace batch;
-};
-
-/// Batched twin of layer_total_time(): gathers the layer's GEMMs and
-/// resolves them through one GemmSimulator::estimate_times() call (grouped
-/// cache probes, SoA catalogue scan on misses) instead of one estimate()
-/// per op. Bit-identical to the scalar overload — same estimates, summed
-/// in the same op order.
+/// (no OpLatency records, no detail strings, no full estimates copied on
+/// cache hits). The search hot path: a design-space sweep only ranks by
+/// this number.
 double layer_total_time(const TransformerConfig& config,
                         const gemm::GemmSimulator& sim, LayerWorkspace& ws);
+
+/// Convenience overload with a throwaway workspace.
+double layer_total_time(const TransformerConfig& config,
+                        const gemm::GemmSimulator& sim);
 
 struct ModelLatencyReport {
   TransformerConfig config;
@@ -105,5 +139,9 @@ ModelLatencyReport analyze_model(const TransformerConfig& config,
 /// Latency of one MappedOp on the simulator's GPU (exposed for tests and
 /// the inference model).
 OpLatency op_latency(const MappedOp& op, const gemm::GemmSimulator& sim);
+
+/// The report record of one already-timed op (a GEMM op's timing must
+/// carry its estimate).
+OpLatency op_latency(const MappedOp& op, const OpTiming& timing);
 
 }  // namespace codesign::tfm

@@ -1,12 +1,14 @@
-// Tests for the batched estimation engine: GemmSimulator::estimate_many /
-// estimate_times, PreparedCatalogue, and EstimateCache::lookup_many /
-// insert_many. The contract under test is lockstep bit-identity — a batch
-// of N problems returns exactly what N scalar estimate() calls return, in
-// every cache state, at any thread count, and under failpoint drills the
-// same candidates fault either way.
+// Tests for the one estimation engine: GemmSimulator::estimate /
+// estimate_many / estimate_times, the PreparedCatalogue scan behind them,
+// and EstimateCache::lookup_many / insert_many. The oracle is the naive
+// select_kernel reference: every entry point must match it field for
+// field, in every cache state, at any thread count, and under failpoint
+// drills the same candidates fault either way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "gemmsim/estimate_cache.hpp"
 #include "gemmsim/prepared_catalogue.hpp"
 #include "gemmsim/simulator.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
@@ -84,6 +87,94 @@ TEST(PreparedCatalogue, FixedLargestDegeneratesToOneTile) {
                      prepared.estimate_one(p));
     EXPECT_EQ(prepared.time_one(p), prepared.estimate_one(p).time);
   }
+}
+
+/// The naive reference for one (problem, policy, gpu): select_kernel under
+/// kAuto, the largest tile under kFixedLargest.
+KernelEstimate reference_estimate(const GemmProblem& p, TilePolicy policy,
+                                  const gpu::GpuSpec& gpu) {
+  return policy == TilePolicy::kAuto
+             ? select_kernel(p, gpu)
+             : estimate_with_tile(p, gpu::largest_tile(), gpu);
+}
+
+TEST(OneEngine, EveryEntryPointMatchesTheReference) {
+  const std::vector<GemmProblem> shapes = shape_set();
+  for (const std::string& id : gpu::known_gpus()) {
+    const gpu::GpuSpec& gpu = gpu::gpu_by_name(id);
+    for (const TilePolicy policy :
+         {TilePolicy::kAuto, TilePolicy::kFixedLargest}) {
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE(id + (policy == TilePolicy::kAuto ? " auto" : " fixed") +
+                     (cached ? " cached" : " uncached"));
+        GemmSimulator sim(gpu, policy);
+        if (cached) sim.enable_cache();
+        GemmSimulator::BatchWorkspace ws;
+        // Two rounds: cold, then (with the cache on) all hits.
+        for (int round = 0; round < 2; ++round) {
+          std::vector<KernelEstimate> batch(shapes.size());
+          sim.estimate_many(shapes, batch, ws);
+          std::vector<double> times(shapes.size());
+          sim.estimate_times(shapes, times, ws);
+          for (std::size_t i = 0; i < shapes.size(); ++i) {
+            const KernelEstimate ref =
+                reference_estimate(shapes[i], policy, gpu);
+            expect_identical(ref, sim.estimate(shapes[i]));
+            expect_identical(ref, batch[i]);
+            EXPECT_EQ(ref.time, times[i]);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(OneEngine, ScanRecordsOneSelectEventPerTile) {
+  const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
+  const GemmSimulator sim(gpu);
+  const GemmProblem p = problem(2048, 2730, 2560);
+  const std::vector<KernelEstimate> all = estimate_all_tiles(p, gpu);
+  const KernelEstimate winner = select_kernel(p, gpu);
+
+  obs::ScopedRecorder scoped;
+  sim.estimate(p);
+  const std::vector<obs::TraceEvent> events = scoped.recorder().events();
+  ASSERT_EQ(events.size(), sim.prepared().tile_count());
+  ASSERT_EQ(events.size(), all.size());
+
+  const auto arg = [](const obs::TraceEvent& ev, const std::string& key) {
+    for (const auto& [k, v] : ev.args) {
+      if (k == key) return v;
+    }
+    return std::string("<missing>");
+  };
+  const auto fmt = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.4f", v);
+    return std::string(buf);
+  };
+  int selected = 0;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const obs::TraceEvent& ev = events[i];
+    const KernelEstimate& e = all[i];
+    EXPECT_EQ(ev.category, "select");
+    EXPECT_EQ(ev.name, e.tile.name());
+    EXPECT_EQ(arg(ev, "gemm"), p.to_string());
+    EXPECT_EQ(arg(ev, "predicted_us"), fmt(e.time * 1e6));
+    EXPECT_EQ(arg(ev, "alignment"), fmt(e.alignment.combined));
+    EXPECT_EQ(arg(ev, "tile_quant_waste"),
+              fmt(e.tile_q.wasted_compute_fraction));
+    EXPECT_EQ(arg(ev, "wave_efficiency"), fmt(e.wave_q.efficiency));
+    EXPECT_EQ(arg(ev, "bound"), bound_name(e.bound));
+    if (arg(ev, "verdict") == "selected") {
+      ++selected;
+      EXPECT_EQ(ev.name, winner.tile.name());
+    } else {
+      EXPECT_NE(arg(ev, "verdict").find("slower than " + winner.tile.name()),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(selected, 1);
 }
 
 TEST(EstimateMany, ColdNoCacheLockstep) {
@@ -158,19 +249,6 @@ TEST(EstimateMany, EstimateTimesMatchesEstimateBitForBit) {
   for (std::size_t i = 0; i < shapes.size(); ++i) {
     expect_identical(reference.estimate(shapes[i]), sim.estimate(shapes[i]));
   }
-}
-
-TEST(EstimateMany, SequenceLatencyBatchedMatchesScalar) {
-  const std::vector<GemmProblem> seq = {
-      problem(2048, 2560, 2560), problem(2048, 2560, 2560),
-      problem(80, 80, 2560), GemmProblem::bmm(64, 2048, 2048, 80)};
-  GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  double expected = 0.0;
-  for (const GemmProblem& p : seq) expected += sim.estimate(p).time;
-  GemmSimulator::BatchWorkspace ws;
-  EXPECT_EQ(expected, sim.sequence_latency(std::span<const GemmProblem>(seq),
-                                           ws));
-  EXPECT_EQ(expected, sim.sequence_latency(seq));
 }
 
 TEST(EstimateMany, MetricsOnPathStaysLockstep) {

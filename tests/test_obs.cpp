@@ -298,7 +298,9 @@ TEST_F(ObsTest, ScopedTimerInertWhenDisabled) {
   }
   const auto snap = MetricsRegistry::global().snapshot();
   for (const auto& s : snap.series) {
-    if (s.name == "obs_test.timer_us") EXPECT_EQ(s.count, 0u);
+    if (s.name == "obs_test.timer_us") {
+      EXPECT_EQ(s.count, 0u);
+    }
   }
 }
 
@@ -465,7 +467,8 @@ TEST_F(ObsTest, DeterministicSeriesByteIdenticalAcrossThreadCounts) {
     sim.enable_cache();
     advisor::SearchOptions options;
     options.threads = threads;
-    advisor::search_joint(base, sim, 0.05, 0, options);
+    advisor::run_shape_search(advisor::SearchMode::kJoint, base, sim, 0.05, 0,
+                              options);
     return MetricsRegistry::global()
         .snapshot({.include_best_effort = false})
         .to_json();
@@ -490,7 +493,8 @@ TEST_F(ObsTest, SelectionTraceByteIdenticalAcrossThreadCounts) {
     const auto sim = gemm::GemmSimulator::for_gpu("a100");
     advisor::SearchOptions options;
     options.threads = threads;
-    advisor::search_heads(base, sim, options);
+    advisor::run_shape_search(advisor::SearchMode::kHeads, base, sim, 0.1, 0,
+                              options);
     obs::ChromeTraceOptions opt;
     opt.include_wall_clock = false;  // drop the wall-clock pipeline spans
     return scoped.recorder().chrome_trace_json(opt);

@@ -23,7 +23,9 @@ TEST(SearchHeads, FindsTheC2Reshape) {
   // The paper's headline: for GPT-3 2.7B the advisor must rank a head count
   // giving h/a = 64 (a = 40) above the default a = 32, with a material
   // speedup and zero parameter change.
-  const auto cands = search_heads(model_by_name("gpt3-2.7b"), sim());
+  const auto cands =
+      run_shape_search(SearchMode::kHeads, model_by_name("gpt3-2.7b"), sim())
+          .ranked;
   ASSERT_FALSE(cands.empty());
 
   const ShapeCandidate* best_a40 = nullptr;
@@ -48,7 +50,9 @@ TEST(SearchHeads, FindsTheC2Reshape) {
 }
 
 TEST(SearchHeads, AllCandidatesValidAndSorted) {
-  const auto cands = search_heads(model_by_name("gpt3-2.7b"), sim());
+  const auto cands =
+      run_shape_search(SearchMode::kHeads, model_by_name("gpt3-2.7b"), sim())
+          .ranked;
   double prev = 0.0;
   for (const ShapeCandidate& c : cands) {
     EXPECT_NO_THROW(c.config.validate());
@@ -63,7 +67,8 @@ TEST(SearchHeads, AllCandidatesValidAndSorted) {
 TEST(SearchHeads, RespectsTensorParallel) {
   const auto base =
       model_by_name("gpt3-2.7b").with_tensor_parallel(4).with_vocab(50304);
-  for (const ShapeCandidate& c : search_heads(base, sim())) {
+  for (const ShapeCandidate& c :
+       run_shape_search(SearchMode::kHeads, base, sim()).ranked) {
     EXPECT_EQ(c.config.num_heads % 4, 0) << c.config.name;
   }
 }
@@ -71,7 +76,10 @@ TEST(SearchHeads, RespectsTensorParallel) {
 TEST(SearchHeads, MaxCandidatesHonored) {
   SearchOptions opt;
   opt.max_candidates = 3;
-  EXPECT_LE(search_heads(model_by_name("gpt3-2.7b"), sim(), opt).size(), 3u);
+  EXPECT_LE(run_shape_search(SearchMode::kHeads, model_by_name("gpt3-2.7b"),
+                             sim(), 0.1, 0, opt)
+                .ranked.size(),
+            3u);
 }
 
 TEST(SearchHeads, BaselineSurvivesTrimming) {
@@ -85,7 +93,8 @@ TEST(SearchHeads, BaselineSurvivesTrimming) {
   // untrimmed ranking, so trimming to 3 genuinely threatens it.
   SearchOptions all;
   all.max_candidates = 1000;
-  const auto untrimmed = search_heads(base, s, all);
+  const auto untrimmed =
+      run_shape_search(SearchMode::kHeads, base, s, 0.1, 0, all).ranked;
   std::size_t base_rank = untrimmed.size();
   for (std::size_t i = 0; i < untrimmed.size(); ++i) {
     if (untrimmed[i].config == base) base_rank = i;
@@ -95,7 +104,8 @@ TEST(SearchHeads, BaselineSurvivesTrimming) {
 
   SearchOptions opt;
   opt.max_candidates = 3;
-  const auto trimmed = search_heads(base, s, opt);
+  const auto trimmed =
+      run_shape_search(SearchMode::kHeads, base, s, 0.1, 0, opt).ranked;
   ASSERT_EQ(trimmed.size(), 3u);
   // The top max_candidates - 1 are the true best; the baseline takes the
   // final slot it would otherwise have been trimmed out of.
@@ -106,7 +116,9 @@ TEST(SearchHeads, BaselineSurvivesTrimming) {
 }
 
 TEST(SearchHidden, BoundsParameterDelta) {
-  const auto cands = search_hidden(model_by_name("gpt3-2.7b"), sim());
+  const auto cands =
+      run_shape_search(SearchMode::kHidden, model_by_name("gpt3-2.7b"), sim())
+          .ranked;
   ASSERT_FALSE(cands.empty());
   for (const ShapeCandidate& c : cands) {
     if (c.config.hidden_size == 2560) continue;  // baseline
@@ -117,15 +129,19 @@ TEST(SearchHidden, BoundsParameterDelta) {
 }
 
 TEST(SearchHidden, InvalidRadiusRejected) {
-  EXPECT_THROW(search_hidden(model_by_name("gpt3-2.7b"), sim(), 0.0), Error);
-  EXPECT_THROW(search_hidden(model_by_name("gpt3-2.7b"), sim(), 1.5), Error);
+  EXPECT_THROW(run_shape_search(SearchMode::kHidden,
+                                model_by_name("gpt3-2.7b"), sim(), 0.0),
+               Error);
+  EXPECT_THROW(run_shape_search(SearchMode::kHidden,
+                                model_by_name("gpt3-2.7b"), sim(), 1.5),
+               Error);
 }
 
 TEST(SearchMlp, AlignedWidthsDominate) {
   // Scan a small window; every top-quartile candidate should have a larger
   // power-of-two granule than the bottom quartile's average.
   const auto base = model_by_name("llama2-7b");
-  const auto scan = search_mlp_intermediate(base, sim(), 10944, 11072);
+  const auto scan = run_mlp_search(base, sim(), 10944, 11072).ranked;
   ASSERT_GT(scan.size(), 64u);
   // The best candidate must be divisible by 64.
   EXPECT_EQ(scan.front().d_ff % 64, 0);
@@ -137,14 +153,14 @@ TEST(SearchMlp, Llama2_11008IsNearOptimal) {
   // §VII-B: "a brute-force search reveals that Llama-2-7B's intermediate
   // size is indeed one of the best performing sizes in its range".
   const auto base = model_by_name("llama2-7b");
-  const auto scan = search_mlp_intermediate(base, sim(), 10752, 11264);
+  const auto scan = run_mlp_search(base, sim(), 10752, 11264).ranked;
   const double pct = mlp_candidate_percentile(scan, 11008);
   EXPECT_LT(pct, 0.05);  // top 5% of its range
 }
 
 TEST(SearchMlp, ResultsSortedAndRanked) {
   const auto scan =
-      search_mlp_intermediate(model_by_name("gpt3-2.7b"), sim(), 10200, 10300);
+      run_mlp_search(model_by_name("gpt3-2.7b"), sim(), 10200, 10300).ranked;
   for (std::size_t i = 1; i < scan.size(); ++i) {
     EXPECT_LE(scan[i - 1].mlp_time, scan[i].mlp_time);
     EXPECT_LE(scan[i - 1].rank_in_range, scan[i].rank_in_range);
@@ -155,7 +171,7 @@ TEST(SearchMlp, ResultsSortedAndRanked) {
 
 TEST(SearchMlp, CoefficientReported) {
   const auto base = model_by_name("llama2-7b");
-  const auto scan = search_mlp_intermediate(base, sim(), 11008, 11008);
+  const auto scan = run_mlp_search(base, sim(), 11008, 11008).ranked;
   ASSERT_EQ(scan.size(), 1u);
   EXPECT_NEAR(scan.front().coefficient, 2.6875, 1e-12);
 }
@@ -167,7 +183,7 @@ TEST(SearchMlp, StrideByTensorParallelMatchesFilteredScan) {
   const auto base = model_by_name("gpt3-2.7b")
                         .with_tensor_parallel(4)
                         .with_vocab(50304);
-  const auto scan = search_mlp_intermediate(base, sim(), 10201, 10299);
+  const auto scan = run_mlp_search(base, sim(), 10201, 10299).ranked;
   ASSERT_FALSE(scan.empty());
   std::vector<std::int64_t> seen;
   for (const MlpCandidate& c : scan) {
@@ -194,7 +210,8 @@ TEST(SearchJoint, SupersetOfHeadAndHiddenSweeps) {
   const auto base = model_by_name("gpt3-2.7b");
   SearchOptions opt;
   opt.max_candidates = 1000;
-  const auto joint = search_joint(base, sim(), 0.1, 0, opt);
+  const auto joint =
+      run_shape_search(SearchMode::kJoint, base, sim(), 0.1, 0, opt).ranked;
   ASSERT_FALSE(joint.empty());
 
   // Contains the baseline, pure head re-shapes, and pure hidden re-shapes.
@@ -229,17 +246,34 @@ TEST(SearchJoint, CachedSimulatorGetsHighHitRate) {
   cached.enable_cache();
   SearchOptions opt;
   opt.max_candidates = 1000;
-  search_joint(model_by_name("pythia-410m"), cached, 0.1, 0, opt);
+  run_shape_search(SearchMode::kJoint, model_by_name("pythia-410m"), cached,
+                   0.1, 0, opt);
   const gemm::CacheStats s = cached.cache()->stats();
   EXPECT_GT(s.hits, s.misses);  // majority of estimates served from cache
 }
 
+TEST(SearchJoint, GqaModelsKeepIntegralGroups) {
+  // GQA bases: every generated head count must keep num_kv_heads | a, so
+  // the joint grid ranks valid configs instead of failing generation.
+  for (const char* name : {"llama2-70b", "mistral-7b"}) {
+    const auto base = model_by_name(name);
+    ASSERT_GT(base.num_kv_heads, 0) << name;
+    const SearchOutcome o = run_shape_search(SearchMode::kJoint, base, sim());
+    ASSERT_FALSE(o.ranked.empty()) << name;
+    EXPECT_TRUE(o.skipped.empty()) << name;
+    for (const ShapeCandidate& c : o.ranked) {
+      EXPECT_NO_THROW(c.config.validate()) << c.config.name;
+      EXPECT_EQ(c.config.num_heads % base.num_kv_heads, 0) << c.config.name;
+    }
+  }
+}
+
 TEST(SearchMlp, Validation) {
   EXPECT_THROW(
-      search_mlp_intermediate(model_by_name("gpt3-2.7b"), sim(), 100, 50),
+      run_mlp_search(model_by_name("gpt3-2.7b"), sim(), 100, 50),
       Error);
   const auto scan =
-      search_mlp_intermediate(model_by_name("gpt3-2.7b"), sim(), 5000, 5100);
+      run_mlp_search(model_by_name("gpt3-2.7b"), sim(), 5000, 5100).ranked;
   EXPECT_THROW(mlp_candidate_percentile(scan, 999), LookupError);
 }
 

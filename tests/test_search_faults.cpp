@@ -81,8 +81,10 @@ TEST_F(SearchFaultsTest, FaultFreeSweepReportsFullCoverage) {
   EXPECT_EQ(o.unreached(), 0u);
   EXPECT_FALSE(o.truncated);
   EXPECT_EQ(o.cancel_reason, CancelReason::kNone);
-  // And the ranked list matches the legacy entry point exactly.
-  EXPECT_EQ(o.ranked, search_joint(model_by_name("gpt3-2.7b"), sim()));
+  // And a second run reproduces the ranked list exactly.
+  EXPECT_EQ(o.ranked, run_shape_search(SearchMode::kJoint,
+                                       model_by_name("gpt3-2.7b"), sim())
+                          .ranked);
 }
 
 TEST_F(SearchFaultsTest, InjectedFaultsBecomeTypedSkipsNotAborts) {
@@ -438,7 +440,7 @@ TEST_F(SearchFaultsTest, MlpScanSupportsTheSameRobustnessSurface) {
 
   const MlpSearchOutcome reference = run_mlp_search(base, s, lo, hi);
   EXPECT_EQ(reference.evaluated, reference.total_candidates);
-  EXPECT_EQ(reference.ranked, search_mlp_intermediate(base, s, lo, hi));
+  EXPECT_EQ(reference.ranked, run_mlp_search(base, s, lo, hi).ranked);
 
   // Faulted + threaded: deterministic skips keyed by "dff:<n>".
   fail::configure("advisor.search.evaluate=prob:0.05:42:fatal");

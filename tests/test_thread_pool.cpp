@@ -112,8 +112,14 @@ advisor::SearchOptions with_threads(std::size_t threads) {
 TEST(ThreadPool, SearchHeadsIdenticalAt1And8Threads) {
   const auto base = tfm::model_by_name("pythia-160m");
   const auto sim = gemm::GemmSimulator::for_gpu("a100");
-  const auto seq = advisor::search_heads(base, sim, with_threads(1));
-  const auto par = advisor::search_heads(base, sim, with_threads(8));
+  const auto seq = advisor::run_shape_search(advisor::SearchMode::kHeads,
+                                             base, sim, 0.1, 0,
+                                             with_threads(1))
+                       .ranked;
+  const auto par = advisor::run_shape_search(advisor::SearchMode::kHeads,
+                                             base, sim, 0.1, 0,
+                                             with_threads(8))
+                       .ranked;
   ASSERT_FALSE(seq.empty());
   EXPECT_EQ(seq, par);  // field-exact, every double included
 }
@@ -124,16 +130,24 @@ TEST(ThreadPool, SearchJointIdenticalAt1And8ThreadsAndWithCache) {
   gemm::GemmSimulator cached = plain;
   cached.enable_cache();
 
-  const auto reference = advisor::search_joint(base, plain, 0.1, 0,
-                                               with_threads(1));
+  const auto reference =
+      advisor::run_shape_search(advisor::SearchMode::kJoint, base, plain, 0.1,
+                                0, with_threads(1))
+          .ranked;
   ASSERT_FALSE(reference.empty());
   EXPECT_EQ(reference,
-            advisor::search_joint(base, plain, 0.1, 0, with_threads(8)));
+            advisor::run_shape_search(advisor::SearchMode::kJoint, base,
+                                      plain, 0.1, 0, with_threads(8))
+                .ranked);
   EXPECT_EQ(reference,
-            advisor::search_joint(base, cached, 0.1, 0, with_threads(8)));
+            advisor::run_shape_search(advisor::SearchMode::kJoint, base,
+                                      cached, 0.1, 0, with_threads(8))
+                .ranked);
   // Warm cache, again: hits must reproduce the same bits.
   EXPECT_EQ(reference,
-            advisor::search_joint(base, cached, 0.1, 0, with_threads(8)));
+            advisor::run_shape_search(advisor::SearchMode::kJoint, base,
+                                      cached, 0.1, 0, with_threads(8))
+                .ranked);
   EXPECT_GT(cached.cache()->stats().hits, 0u);
 }
 
@@ -141,9 +155,9 @@ TEST(ThreadPool, MlpScanIdenticalAt1And8Threads) {
   const auto base = tfm::model_by_name("pythia-160m");
   const auto sim = gemm::GemmSimulator::for_gpu("a100");
   const auto seq =
-      advisor::search_mlp_intermediate(base, sim, 3000, 3200, with_threads(1));
+      advisor::run_mlp_search(base, sim, 3000, 3200, with_threads(1)).ranked;
   const auto par =
-      advisor::search_mlp_intermediate(base, sim, 3000, 3200, with_threads(8));
+      advisor::run_mlp_search(base, sim, 3000, 3200, with_threads(8)).ranked;
   ASSERT_FALSE(seq.empty());
   EXPECT_EQ(seq, par);
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # check.sh — the full local gate:
-#   tier 1  build + full ctest suite
+#   tier 1  warning-clean build (CODESIGN_WERROR=ON) + full ctest suite
 #   tier 2  ThreadSanitizer build of the concurrency-sensitive tests
 #           (thread pool, estimate cache, observability, failpoints, the
 #           fault-injected search)
@@ -46,8 +46,8 @@ TSAN_DIR="${CODESIGN_CHECK_TSAN_DIR:-${SRC_DIR}/build-tsan}"
 ASAN_DIR="${CODESIGN_CHECK_ASAN_DIR:-${SRC_DIR}/build-asan}"
 JOBS="${CODESIGN_CHECK_JOBS:-$(nproc 2>/dev/null || echo 4)}"
 
-echo "== tier 1: build + ctest (${BUILD_DIR}) =="
-cmake -B "${BUILD_DIR}" -S "${SRC_DIR}"
+echo "== tier 1: warning-clean build + ctest (${BUILD_DIR}) =="
+cmake -B "${BUILD_DIR}" -S "${SRC_DIR}" -DCODESIGN_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
