@@ -2,14 +2,18 @@
 // workload x hardware sweep run end-to-end through the SweepDriver, both
 // as a standalone cross-hardware ranking table and as the timed
 // `sweep.matrix_small` case guarding the matrix-planning + grid-search
-// hot path in the smoke/perf suites.
+// hot path in the smoke/perf suites. The perf-only `render.sweep_report`
+// case times the last stage alone: the compact JSON report of a fixed
+// 412-variant matrix.
 #include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "gemmsim/estimate_cache.hpp"
 #include "sweep/driver.hpp"
 #include "sweep/plan.hpp"
+#include "sweep/report.hpp"
 
 #include <memory>
+#include <string>
 
 namespace codesign {
 namespace {
@@ -31,6 +35,31 @@ constexpr const char* kMatrixConfig =
     "name = prefill-125m\n"
     "model = gpt3-125m\n"
     "seq_lens = 512, 2048\n";
+
+/// The render rung's fixed matrix: a gpt3-2.7b heads x hidden grid (5 head
+/// counts x 40 hidden sizes, every hidden a multiple of 320 so each pair
+/// is legal) plus six GQA ratios, on a100 and h100 — 412 variant rows,
+/// about 150 KB of compact report. Run once per process; the case times
+/// only the rendering.
+const sweep::SweepResult& render_matrix() {
+  static const sweep::SweepResult result = [] {
+    std::string config =
+        "[sweep]\nname = render-matrix\ngpus = a100, h100\n"
+        "[workload]\nfamily = decoder\nname = heads-x-hidden\n"
+        "model = gpt3-2.7b\nheads = 20, 32, 40, 64, 80\nhidden = ";
+    for (int i = 0; i < 40; ++i) {
+      config += (i > 0 ? ", " : "") + std::to_string(2560 + 320 * i);
+    }
+    config +=
+        "\n[workload]\nfamily = gqa\nname = gqa-7b\nmodel = llama2-7b\n"
+        "kv_ratios = 1, 2, 4, 8, 16, 32\n";
+    sweep::SweepOptions options;
+    options.threads = 1;
+    return sweep::run_sweep(
+        sweep::parse_sweep_config(config, "render-matrix"), options);
+  }();
+  return result;
+}
 
 const bench::BenchSpec kSpec{
     "bench_ext_sweep_matrix",
@@ -86,6 +115,21 @@ CODESIGN_BENCH_CASES(ext_sweep_matrix) {
                  c.consume(v.layer_tflops);
                }
              }
+           }});
+  reg.add({"render.sweep_report", "bench_ext_sweep_matrix",
+           "compact codesign.sweep JSON of a fixed 412-variant matrix "
+           "(render only; FNV-1a of the bytes is the checksum)",
+           {benchlib::kSuitePerf},
+           [](benchlib::CaseContext& c) {
+             const std::string json =
+                 sweep::sweep_report_json(render_matrix(), /*compact=*/true);
+             std::uint64_t fnv = 0xcbf29ce484222325ull;
+             for (const char ch : json) {
+               fnv = (fnv ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
+             }
+             c.consume(static_cast<std::int64_t>(json.size()));
+             c.consume(static_cast<std::int64_t>(fnv >> 32));
+             c.consume(static_cast<std::int64_t>(fnv & 0xffffffffull));
            }});
 }
 

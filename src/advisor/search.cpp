@@ -157,6 +157,31 @@ SlotState run_guarded(const SearchOptions& options, GuardCounters& counters,
   }
 }
 
+/// The baseline context scores every candidate, so a fault here aborts the
+/// sweep in any policy — with one recovery. A transient fault may come from
+/// the estimate cache, which only memoizes: outside strict mode, with a
+/// retry budget, the baseline is evaluated once more without the cache
+/// (counted as one retry). A fault of the estimator itself fires again
+/// there and aborts as before.
+BaselineContext guarded_baseline(const TransformerConfig& baseline,
+                                 const gemm::GemmSimulator& sim,
+                                 const SearchOptions& options,
+                                 GuardCounters& counters) {
+  try {
+    return make_baseline(baseline, sim);
+  } catch (const fail::InjectedFault& e) {
+    if (!e.transient() || options.faults.strict ||
+        options.faults.max_retries <= 0 || sim.cache() == nullptr) {
+      throw;
+    }
+  }
+  counters.retries.fetch_add(1, std::memory_order_relaxed);
+  counters.backoff.fetch_add(1, std::memory_order_relaxed);
+  gemm::GemmSimulator uncached = sim;
+  uncached.set_cache(nullptr);
+  return make_baseline(baseline, uncached);
+}
+
 /// The shared "generate → evaluate in parallel → deterministically merge"
 /// pipeline, now with per-candidate fault isolation, cancellation, and
 /// checkpoint/resume. `annotate` fills the human-readable note from the
@@ -176,9 +201,9 @@ SearchOutcome evaluate_pipeline(
   // metrics-off search takes no locks and reads no clocks.
   const bool metrics_on = obs::MetricsRegistry::enabled();
 
-  // The baseline context is evaluated unguarded: without it no candidate
-  // can be scored, so a fault here aborts the sweep in any policy.
-  const BaselineContext base = make_baseline(baseline, sim);
+  GuardCounters counters;
+  const BaselineContext base =
+      guarded_baseline(baseline, sim, options, counters);
 
   SearchOutcome outcome;
   outcome.total_candidates = configs.size();
@@ -186,7 +211,6 @@ SearchOutcome evaluate_pipeline(
   std::vector<ShapeCandidate> evaluated(configs.size());
   std::vector<SlotState> state(configs.size(), SlotState::kPending);
   std::vector<SkipInfo> skips(configs.size());
-  GuardCounters counters;
 
   // Resume prefill (sequential, cheap): slots completed by a previous run
   // are filled from the checkpoint — bit-exact, so downstream ranking

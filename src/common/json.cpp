@@ -1,11 +1,9 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -319,39 +317,74 @@ void Value::set(std::string key, Value v) {
   object_.emplace_back(std::move(key), std::move(v));
 }
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+namespace {
+
+/// Append `s` with JSON escaping. Runs of characters that need none are
+/// appended in one piece; control characters other than \n \r \t
+/// become \u00xx (lowercase hex).
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += str_format("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof(u));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+/// Large enough for any double at 17 significant digits
+/// ("-2.2250738585072014e-308").
+constexpr std::size_t kDoubleChars = 32;
+
+/// format_double into `buf`; returns the end of the text.
+char* format_double_to(char (&buf)[kDoubleChars], double v) {
+  auto out = std::to_chars(buf, buf + kDoubleChars, v,
+                           std::chars_format::general, 15);
+  double back = 0.0;
+  const auto read = std::from_chars(buf, out.ptr, back);
+  if (read.ec != std::errc() || back != v) {
+    out = std::to_chars(buf, buf + kDoubleChars, v,
+                        std::chars_format::general, 17);
+  }
+  return out.ptr;
+}
+
+template <typename Int>
+void append_integer(std::string& out, Int v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+}  // namespace
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
 std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  double back = 0.0;
-  std::sscanf(buf, "%lf", &back);
-  if (back != v) std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  char buf[kDoubleChars];
+  return std::string(buf, format_double_to(buf, v));
 }
 
 void Writer::indent(std::size_t depth) {
-  os_ << '\n';
-  for (std::size_t i = 0; i < depth; ++i) os_ << "  ";
+  out_ += '\n';
+  out_.append(2 * depth, ' ');
 }
 
 void Writer::before_value() {
@@ -366,7 +399,7 @@ void Writer::before_value() {
     have_key_ = false;
     return;  // separator was emitted by key()
   }
-  if (top.count > 0) os_ << ',';
+  if (top.count > 0) out_ += ',';
   if (top.pretty) indent(stack_.size());
   ++top.count;
 }
@@ -376,10 +409,11 @@ Writer& Writer::key(std::string_view k) {
                  "json::Writer: key() outside an object");
   CODESIGN_CHECK(!have_key_, "json::Writer: key() twice without a value");
   Frame& top = stack_.back();
-  if (top.count > 0) os_ << ',';
+  if (top.count > 0) out_ += ',';
   if (top.pretty) indent(stack_.size());
-  os_ << '"' << escape(k) << "\":";
-  if (top.pretty) os_ << ' ';
+  out_ += '"';
+  append_escaped(out_, k);
+  out_ += top.pretty ? "\": " : "\":";
   ++top.count;
   have_key_ = true;
   return *this;
@@ -388,7 +422,7 @@ Writer& Writer::key(std::string_view k) {
 Writer& Writer::begin_object(Style style) {
   before_value();
   stack_.push_back(Frame{true, style == Style::kPretty});
-  os_ << '{';
+  out_ += '{';
   return *this;
 }
 
@@ -399,14 +433,14 @@ Writer& Writer::end_object() {
   const Frame top = stack_.back();
   stack_.pop_back();
   if (top.pretty && top.count > 0) indent(stack_.size());
-  os_ << '}';
+  out_ += '}';
   return *this;
 }
 
 Writer& Writer::begin_array(Style style) {
   before_value();
   stack_.push_back(Frame{false, style == Style::kPretty});
-  os_ << '[';
+  out_ += '[';
   return *this;
 }
 
@@ -416,13 +450,15 @@ Writer& Writer::end_array() {
   const Frame top = stack_.back();
   stack_.pop_back();
   if (top.pretty && top.count > 0) indent(stack_.size());
-  os_ << ']';
+  out_ += ']';
   return *this;
 }
 
 Writer& Writer::value(std::string_view s) {
   before_value();
-  os_ << '"' << escape(s) << '"';
+  out_ += '"';
+  append_escaped(out_, s);
+  out_ += '"';
   return *this;
 }
 
@@ -430,37 +466,38 @@ Writer& Writer::value(double v) {
   CODESIGN_CHECK(std::isfinite(v),
                  "json::Writer: JSON cannot represent a non-finite number");
   before_value();
-  os_ << format_double(v);
+  char buf[kDoubleChars];
+  out_.append(buf, format_double_to(buf, v));
   return *this;
 }
 
 Writer& Writer::value(bool b) {
   before_value();
-  os_ << (b ? "true" : "false");
+  out_ += b ? "true" : "false";
   return *this;
 }
 
 Writer& Writer::value(long long v) {
   before_value();
-  os_ << v;
+  append_integer(out_, v);
   return *this;
 }
 
 Writer& Writer::value(unsigned long long v) {
   before_value();
-  os_ << v;
+  append_integer(out_, v);
   return *this;
 }
 
 Writer& Writer::null() {
   before_value();
-  os_ << "null";
+  out_ += "null";
   return *this;
 }
 
 Writer& Writer::raw(std::string_view text) {
   before_value();
-  os_ << text;
+  out_ += text;
   return *this;
 }
 
@@ -491,10 +528,10 @@ void dump_value(Writer& w, const Value& v) {
 }  // namespace
 
 std::string dump(const Value& v) {
-  std::ostringstream os;
-  Writer w(os);
+  std::string out;
+  Writer w(out);
   dump_value(w, v);
-  return os.str();
+  return out;
 }
 
 }  // namespace codesign::json

@@ -10,13 +10,17 @@
 // comma/key management, per-container compact/pretty styles, and the same
 // escaping + shortest-round-trip number rules the parser accepts — bench
 // reports and serve responses share it so "emits JSON" means one code
-// path. json::escape and json::format_double remain exposed for callers
-// that splice fragments by hand.
+// path. A Writer appends to a caller-owned std::string: it buffers nothing
+// of its own, so there is nothing to flush, and the sink holds the only
+// copy of the document (a report renders straight into the string its
+// caller returns or writes). Numbers and escapes are formatted without
+// printf and without a temporary string per token. json::escape and
+// json::format_double remain exposed for callers that splice fragments by
+// hand; they run the same code the Writer does.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -83,11 +87,16 @@ class Value {
 /// Escape a string for embedding inside JSON double quotes.
 std::string escape(std::string_view s);
 
-/// Shortest decimal form of `v` that round-trips to the same double
-/// (%.15g when exact, %.17g otherwise). Deterministic for equal values.
+/// Decimal form of `v`: exactly the bytes printf's "%.15g" prints when
+/// they read back as `v`, otherwise the bytes of the same %g form at 17
+/// significant digits (which always round-trip). Deterministic for equal
+/// values; reports depend on these exact bytes. Non-finite values print as "inf"/"nan" (the Writer
+/// rejects them; metrics exports may carry them).
 std::string format_double(double v);
 
-/// Streaming JSON emitter with automatic separator management. Misuse
+/// Streaming JSON emitter with automatic separator management. Output is
+/// appended to the `std::string` passed at construction, after whatever
+/// it already holds (one string may carry several documents). Misuse
 /// (value without key inside an object, mismatched end_*, writing past a
 /// complete document) throws codesign::Error via CODESIGN_CHECK rather
 /// than emitting malformed output.
@@ -103,7 +112,7 @@ class Writer {
  public:
   enum class Style { kCompact, kPretty };
 
-  explicit Writer(std::ostream& os) : os_(os) {}
+  explicit Writer(std::string& out) : out_(out) {}
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
@@ -158,7 +167,7 @@ class Writer {
   void before_value();  ///< separator bookkeeping shared by all value forms
   void indent(std::size_t depth);
 
-  std::ostream& os_;
+  std::string& out_;
   std::vector<Frame> stack_;
   bool have_key_ = false;  ///< key() written, its value still pending
   bool done_ = false;      ///< a top-level value has been started

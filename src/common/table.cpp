@@ -1,6 +1,7 @@
 #include "common/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 
@@ -40,11 +41,19 @@ TableWriter& TableWriter::cell(std::int64_t value) {
 }
 
 TableWriter& TableWriter::cell(double value, int precision) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(precision);
-  os << value;
-  return cell(os.str());
+  // Fixed notation, the bytes of printf's "%.*f" (a negative precision
+  // means 6, as there).
+  char buf[64];
+  const auto out = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::fixed, precision);
+  if (out.ec == std::errc()) return cell(std::string(buf, out.ptr));
+  // Wider than `buf`: up to 309 integer digits plus the fraction.
+  std::string wide(330 + static_cast<std::size_t>(std::max(precision, 6)),
+                   '\0');
+  const auto end = std::to_chars(wide.data(), wide.data() + wide.size(), value,
+                                 std::chars_format::fixed, precision);
+  wide.resize(static_cast<std::size_t>(end.ptr - wide.data()));
+  return cell(std::move(wide));
 }
 
 void TableWriter::add_row(std::vector<std::string> row) {

@@ -20,6 +20,14 @@ std::size_t EstimateCache::Key::hash_value() const noexcept {
   return h;
 }
 
+std::uint64_t EstimateCache::Key::failpoint_token() const noexcept {
+  std::uint64_t h = problem.hash_value();
+  h ^= static_cast<std::uint64_t>(policy) + 0x9e3779b97f4a7c15ull + (h << 6) +
+       (h >> 2);
+  h ^= fail::token(gpu->id) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h;
+}
+
 EstimateCache::EstimateCache(const CacheOptions& options) : options_(options) {
   CODESIGN_CHECK(options_.capacity > 0, "cache capacity must be positive");
   options_.shards = std::max<std::size_t>(1, options_.shards);
@@ -48,7 +56,7 @@ const KernelEstimate* EstimateCache::probe_locked(Shard& shard,
 }
 
 bool EstimateCache::lookup(const Key& key, KernelEstimate* out) {
-  CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", key.hash_value());
+  CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", key.failpoint_token());
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   const KernelEstimate* hit = probe_locked(shard, key);
@@ -73,7 +81,7 @@ std::size_t EstimateCache::probe_many(std::span<const Key> keys,
   // the token so their fire set is order-independent anyway, but keeping
   // the order makes once:/every: drills line up too.
   for (std::size_t i = 0; i < n; ++i) {
-    CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", keys[i].hash_value());
+    CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", keys[i].failpoint_token());
   }
   const std::size_t num_shards = shards_.size();
   scratch.order.resize(n);

@@ -78,13 +78,18 @@ class EstimateCache {
       return problem == o.problem && policy == o.policy && gpu == o.gpu;
     }
     std::size_t hash_value() const noexcept;
+    /// Token for the gemmsim.cache.lookup failpoint: a pure function of
+    /// the problem, the policy and the GPU's id, so which lookups a
+    /// prob: trigger faults is the same in every process (hash_value()
+    /// mixes in the GpuSpec address, which moves between runs).
+    std::uint64_t failpoint_token() const noexcept;
   };
 
   explicit EstimateCache(const CacheOptions& options = {});
 
   /// Probe one key: on a hit copy the estimate into `*out` (when non-null)
-  /// and return true. Fires the gemmsim.cache.lookup failpoint with the key
-  /// hash as its token — the one-key form of lookup_many.
+  /// and return true. Fires the gemmsim.cache.lookup failpoint with the
+  /// key's failpoint_token() — the one-key form of lookup_many.
   bool lookup(const Key& key, KernelEstimate* out);
   /// Store one estimate (evicting the shard's least-recently-used entry
   /// when full). A key already present is left untouched: a racing miss

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/stats.hpp"
 
 namespace codesign::obs {
@@ -231,30 +231,9 @@ MetricsRegistry& MetricsRegistry::global() {
   return registry;
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-/// Shortest round-trip double formatting (%.17g is exact but noisy; try
-/// %.15g first). Deterministic for identical values.
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  double back = 0.0;
-  std::sscanf(buf, "%lf", &back);
-  if (back != v) std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
+// Every export (JSON, CSV, Prometheus) prints numbers the way json::Writer
+// does, so a value reads the same in all of them.
+using json::format_double;
 
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream os;
@@ -263,8 +242,8 @@ std::string MetricsSnapshot::to_json() const {
   for (const Series& s : series) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"" << json_escape(s.name) << "\",\"labels\":\""
-       << json_escape(s.labels) << "\",\"kind\":\"" << metric_kind_name(s.kind)
+    os << "{\"name\":\"" << json::escape(s.name) << "\",\"labels\":\""
+       << json::escape(s.labels) << "\",\"kind\":\"" << metric_kind_name(s.kind)
        << "\",\"stability\":\"" << stability_name(s.stability) << "\"";
     switch (s.kind) {
       case MetricKind::kCounter:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
@@ -52,12 +51,12 @@ std::vector<RankRow> rank_workload(const SweepResult& r,
 
 }  // namespace
 
-void write_sweep_report(std::ostream& os, const SweepResult& r,
-                        bool compact) {
+std::string sweep_report_json(const SweepResult& r, bool compact) {
   const json::Writer::Style spine =
       compact ? json::Writer::Style::kCompact : json::Writer::Style::kPretty;
 
-  json::Writer w(os);
+  std::string out;
+  json::Writer w(out);
   w.begin_object(spine)
       .member("report", kSweepReportName)
       .member("version", kSweepReportVersion)
@@ -171,13 +170,8 @@ void write_sweep_report(std::ostream& os, const SweepResult& r,
       .end_object();
 
   w.end_object();
-  if (!compact) os << "\n";
-}
-
-std::string sweep_report_json(const SweepResult& result, bool compact) {
-  std::ostringstream os;
-  write_sweep_report(os, result, compact);
-  return os.str();
+  if (!compact) out += '\n';
+  return out;
 }
 
 void render_sweep_table(std::ostream& os, const SweepResult& r) {

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.hpp"
+#include "common/strings.hpp"
+#include "transformer/model_zoo.hpp"
 
 namespace codesign::tfm {
 namespace {
@@ -99,6 +103,51 @@ TEST(Config, ToStringContainsKeyFields) {
   EXPECT_NE(s.find("h=2560"), std::string::npos);
   EXPECT_NE(s.find("a=32"), std::string::npos);
   EXPECT_NE(s.find("gelu"), std::string::npos);
+}
+
+// The printf rendering to_string replaced, kept as the byte oracle.
+std::string printf_to_string(const TransformerConfig& c) {
+  return str_format(
+      "%s (h=%lld a=%lld L=%lld s=%lld b=%lld v=%lld t=%lld d_ff=%lld %s/%s/%s%s)",
+      c.name.c_str(), static_cast<long long>(c.hidden_size),
+      static_cast<long long>(c.num_heads), static_cast<long long>(c.num_layers),
+      static_cast<long long>(c.seq_len), static_cast<long long>(c.microbatch),
+      static_cast<long long>(c.vocab_size),
+      static_cast<long long>(c.tensor_parallel),
+      static_cast<long long>(c.d_ff()), activation_name(c.activation),
+      pos_embedding_name(c.pos_embedding), attention_impl_name(c.attention),
+      c.parallel_layers ? "/parallel" : "");
+}
+
+TEST(Config, ToStringMatchesPrintfForEveryZooModelAndVariant) {
+  std::size_t checked = 0;
+  for (const std::string& model : known_models()) {
+    for (const Activation act : {Activation::kGelu, Activation::kSwiGlu}) {
+      for (const PosEmbedding pos :
+           {PosEmbedding::kLearned, PosEmbedding::kRotary,
+            PosEmbedding::kAlibi}) {
+        for (const AttentionImpl attn :
+             {AttentionImpl::kBmm, AttentionImpl::kFlash}) {
+          for (const bool parallel : {false, true}) {
+            TransformerConfig c = model_by_name(model);
+            c.activation = act;
+            c.pos_embedding = pos;
+            c.attention = attn;
+            c.parallel_layers = parallel;
+            EXPECT_EQ(c.to_string(), printf_to_string(c));
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
+  // Negative and extreme fields (to_string does not validate).
+  TransformerConfig odd = gpt3_27b().with_name("");
+  odd.hidden_size = std::numeric_limits<std::int64_t>::min();
+  odd.num_heads = -1;
+  odd.mlp_intermediate = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(odd.to_string(), printf_to_string(odd));
 }
 
 TEST(Config, EnumNames) {

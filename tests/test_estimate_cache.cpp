@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/failpoint.hpp"
 #include "gemmsim/simulator.hpp"
 
 namespace codesign::gemm {
@@ -202,6 +204,54 @@ TEST(EstimateCache, LookupInsertTestHooks) {
   cache.insert(key, select_kernel(p, gpu));
   ASSERT_TRUE(cache.lookup(key, &out));
   expect_identical(out, select_kernel(p, gpu));
+}
+
+TEST(EstimateCache, FailpointTokenIgnoresTheGpuSpecAddress) {
+  // Two copies of one part at different addresses: the cache keys differ
+  // (the cache keys on the spec's identity), but the failpoint token is a
+  // function of the problem, policy and GPU id only — so a prob: trigger
+  // faults the same lookups in every process, whatever ASLR does.
+  const auto a = std::make_unique<gpu::GpuSpec>(gpu::gpu_by_name("a100"));
+  const auto b = std::make_unique<gpu::GpuSpec>(gpu::gpu_by_name("a100"));
+  ASSERT_NE(a.get(), b.get());
+  const GemmProblem p = problem(2048, 2560, 7680);
+  const EstimateCache::Key ka{p, TilePolicy::kAuto, a.get()};
+  const EstimateCache::Key kb{p, TilePolicy::kAuto, b.get()};
+  EXPECT_EQ(ka.failpoint_token(), kb.failpoint_token());
+
+  // Every field it covers still separates tokens.
+  const gpu::GpuSpec& v100 = gpu::gpu_by_name("v100");
+  const EstimateCache::Key other_gpu{p, TilePolicy::kAuto, &v100};
+  const EstimateCache::Key other_policy{p, TilePolicy::kFixedLargest, a.get()};
+  const EstimateCache::Key other_shape{problem(2048, 2560, 7681),
+                                       TilePolicy::kAuto, a.get()};
+  EXPECT_NE(ka.failpoint_token(), other_gpu.failpoint_token());
+  EXPECT_NE(ka.failpoint_token(), other_policy.failpoint_token());
+  EXPECT_NE(ka.failpoint_token(), other_shape.failpoint_token());
+
+  // Under a probabilistic trigger the two copies fault on the same shapes.
+  fail::clear();
+  fail::configure("gemmsim.cache.lookup=prob:0.5:7");
+  EstimateCache cache;
+  int faulted = 0;
+  for (std::int64_t k = 64; k < 64 + 64 * 64; k += 64) {
+    auto faults = [&](const gpu::GpuSpec* g) {
+      try {
+        cache.lookup(EstimateCache::Key{problem(512, 512, k),
+                                        TilePolicy::kAuto, g},
+                     nullptr);
+        return false;
+      } catch (const fail::InjectedFault&) {
+        return true;
+      }
+    };
+    const bool fa = faults(a.get());
+    EXPECT_EQ(fa, faults(b.get())) << "k=" << k;
+    faulted += fa ? 1 : 0;
+  }
+  fail::clear();
+  EXPECT_GT(faulted, 0);
+  EXPECT_LT(faulted, 64);
 }
 
 TEST(EstimateCache, RejectsZeroCapacity) {

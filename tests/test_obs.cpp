@@ -355,6 +355,24 @@ TEST_F(ObsTest, TimeOriginIsThreadLocal) {
   EventRecorder::set_time_origin_us(0.0);
 }
 
+TEST_F(ObsTest, ChromeTraceEscapesControlCharacters) {
+  EventRecorder rec;
+  TraceEvent e;
+  e.name = "line\nbreak";
+  e.category = "op";
+  e.args.emplace_back("note", "tab\t\"quoted\"");
+  rec.record(e);
+  obs::ChromeTraceOptions opt;
+  opt.other_data.emplace_back("model", "m\x01");
+  const std::string json = rec.chrome_trace_json(opt);
+  for (const char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << "raw control char";
+  }
+  EXPECT_NE(json.find(R"("line\nbreak")"), std::string::npos);
+  EXPECT_NE(json.find(R"("tab\t\"quoted\"")"), std::string::npos);
+  EXPECT_NE(json.find(R"("m\u0001")"), std::string::npos);
+}
+
 TEST_F(ObsTest, ChromeTraceJsonStructure) {
   EventRecorder rec;
   TraceEvent span;

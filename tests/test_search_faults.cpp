@@ -183,6 +183,42 @@ TEST_F(SearchFaultsTest, RetryExhaustionSkipsWithAttemptAccounting) {
   EXPECT_EQ(o.backoff_units, 7 * o.skipped.size());
 }
 
+TEST_F(SearchFaultsTest, CacheFaultOnTheBaselineRetriesWithoutTheCache) {
+  // Every cache lookup faults. The baseline recovers by one uncached
+  // evaluation (one retry); each candidate still goes through the cache,
+  // burns its budget and is skipped — the sweep degrades, it does not die.
+  gemm::GemmSimulator cached = sim();
+  cached.enable_cache();
+  fail::configure("gemmsim.cache.lookup=always:transient");
+  SearchOptions options;  // default budget: 2 retries
+  const SearchOutcome o = run_shape_search(
+      SearchMode::kHeads, model_by_name("gpt3-2.7b"), cached, 0.1, 0, options);
+  EXPECT_EQ(o.evaluated, 0u);
+  ASSERT_EQ(o.skipped.size(), o.total_candidates);
+  EXPECT_EQ(o.retries, 1 + 2 * o.skipped.size());
+
+  // Strict mode and a zero budget keep the abort.
+  options.faults.strict = true;
+  EXPECT_THROW(run_shape_search(SearchMode::kHeads, model_by_name("gpt3-2.7b"),
+                                cached, 0.1, 0, options),
+               fail::InjectedFault);
+  options.faults.strict = false;
+  options.faults.max_retries = 0;
+  EXPECT_THROW(run_shape_search(SearchMode::kHeads, model_by_name("gpt3-2.7b"),
+                                cached, 0.1, 0, options),
+               fail::InjectedFault);
+}
+
+TEST_F(SearchFaultsTest, EstimatorFaultOnTheBaselineStillAborts) {
+  // Without the cache to blame, a baseline fault fires again on the retry.
+  gemm::GemmSimulator cached = sim();
+  cached.enable_cache();
+  fail::configure("gemmsim.select_kernel=always:transient");
+  EXPECT_THROW(run_shape_search(SearchMode::kHeads, model_by_name("gpt3-2.7b"),
+                                cached, 0.1, 0, SearchOptions{}),
+               fail::InjectedFault);
+}
+
 TEST_F(SearchFaultsTest, FatalFaultsAreNeverRetried) {
   fail::configure("advisor.search.evaluate=prob:0.05:42:fatal");
   SearchOptions options;

@@ -360,11 +360,11 @@ TEST_F(ServeTest, SweepPayloadMatchesTheCliJsonBytes) {
   serve::Server server(options(2));
   server.start();
   ServeClient client("127.0.0.1", server.port());
-  std::ostringstream request;
+  std::string request;
   json::Writer w(request);
   w.begin_object().member("op", "sweep").member("config", config_text);
   w.end_object();
-  const serve::Response r = client.call(request.str());
+  const serve::Response r = client.call(request);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_EQ(r.code, kExitOk);
   // The payload is the compact codesign.sweep report — byte-identical to
@@ -374,14 +374,14 @@ TEST_F(ServeTest, SweepPayloadMatchesTheCliJsonBytes) {
   // Body errors keep the taxonomy: a missing "config" is a usage error, a
   // malformed config is a config error naming the client-supplied origin.
   EXPECT_EQ(client.call_op("sweep").code, kExitUsage);
-  std::ostringstream bad;
+  std::string bad;
   json::Writer bw(bad);
   bw.begin_object()
       .member("op", "sweep")
       .member("config", "key = 1\n")
       .member("origin", "remote.conf");
   bw.end_object();
-  const serve::Response r2 = client.call(bad.str());
+  const serve::Response r2 = client.call(bad);
   EXPECT_EQ(r2.code, kExitConfig);
   EXPECT_NE(r2.error.find("remote.conf:1"), std::string::npos) << r2.error;
 

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
+#include <sstream>
+#include <vector>
+
 #include "common/error.hpp"
 
 namespace codesign {
@@ -68,6 +74,41 @@ TEST(TableWriter, DoublePrecision) {
   TableWriter t({"v"});
   t.new_row().cell(3.14159, 2);
   EXPECT_NE(t.render(TableFormat::kCsv).find("3.14"), std::string::npos);
+}
+
+// What cell(double, precision) rendered through before it used to_chars:
+// an ios::fixed ostringstream, kept here as the byte oracle.
+std::string stream_fixed(double v, int precision) {
+  std::ostringstream os;
+  os.setf(std::ios::fixed);
+  os.precision(precision);
+  os << v;
+  return os.str();
+}
+
+TEST(TableWriter, DoubleCellsMatchFixedStreamFormatting) {
+  std::vector<double> values = {
+      0.0, -0.0, 0.5, 1.5, 2.5, -2.5, 0.125, 0.0005, 1e-7, 123456.789,
+      1e15, 1e22, -1e300, std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-8, 20);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(mantissa(rng) * std::pow(10.0, exponent(rng)));
+  }
+  for (const double v : values) {
+    for (int precision = 0; precision <= 6; ++precision) {
+      TableWriter t({"v"});
+      t.new_row().cell(v, precision);
+      ASSERT_EQ(t.render(TableFormat::kCsv),
+                "v\n" + stream_fixed(v, precision) + "\n")
+          << "precision " << precision;
+    }
+  }
 }
 
 TEST(TableWriter, MultipleRowsInOrder) {

@@ -84,6 +84,16 @@ TEST(Trace, MetadataRecorded) {
   EXPECT_NE(json.find("gpt3-2.7b"), std::string::npos);
 }
 
+TEST(Trace, ControlCharactersInNamesAreEscaped) {
+  // A custom model name is user input; a raw tab inside a JSON string
+  // makes the whole trace unreadable to strict parsers.
+  const TransformerConfig cfg =
+      model_by_name("gpt3-125m").with_name("tab\there");
+  const std::string json = trace_json(cfg, sim());
+  EXPECT_EQ(json.find('\t'), std::string::npos);
+  EXPECT_NE(json.find("tab\\there"), std::string::npos);
+}
+
 TEST(Trace, Validation) {
   TraceOptions opt;
   opt.layers = 0;
