@@ -2,9 +2,10 @@
 // workload x hardware sweep run end-to-end through the SweepDriver, both
 // as a standalone cross-hardware ranking table and as the timed
 // `sweep.matrix_small` case guarding the matrix-planning + grid-search
-// hot path in the smoke/perf suites. The perf-only `render.sweep_report`
-// case times the last stage alone: the compact JSON report of a fixed
-// 412-variant matrix.
+// hot path in the smoke/perf suites. Two perf-only rungs time the big
+// stages alone: `sweep.run_matrix` runs a fixed 2012-variant matrix on 4
+// threads, and `render.sweep_report` renders the compact JSON report of a
+// fixed 412-variant matrix.
 #include "bench_common.hpp"
 #include "common/strings.hpp"
 #include "gemmsim/estimate_cache.hpp"
@@ -59,6 +60,38 @@ const sweep::SweepResult& render_matrix() {
         sweep::parse_sweep_config(config, "render-matrix"), options);
   }();
   return result;
+}
+
+/// The run rung's fixed matrix: a gpt3-2.7b heads x hidden grid (5 head
+/// counts x 200 hidden sizes on multiples of 320) plus six GQA ratios, on
+/// a100 and h100 — 2012 variants, the shape of one generated sweep's
+/// decoder workload.
+const sweep::SweepPlan& run_plan() {
+  static const sweep::SweepPlan plan = [] {
+    std::string config =
+        "[sweep]\nname = run-matrix\ngpus = a100, h100\n"
+        "[workload]\nfamily = decoder\nname = heads-x-hidden\n"
+        "model = gpt3-2.7b\nheads = 20, 32, 40, 64, 80\nhidden = ";
+    for (int i = 0; i < 200; ++i) {
+      config += (i > 0 ? ", " : "") + std::to_string(2560 + 320 * i);
+    }
+    config +=
+        "\n[workload]\nfamily = gqa\nname = gqa-7b\nmodel = llama2-7b\n"
+        "kv_ratios = 1, 2, 4, 8, 16, 32\n";
+    return sweep::parse_sweep_config(config, "run-matrix");
+  }();
+  return plan;
+}
+
+/// FNV-1a of a report's bytes, folded into the case checksum.
+void consume_report(benchlib::CaseContext& c, const std::string& json) {
+  std::uint64_t fnv = 0xcbf29ce484222325ull;
+  for (const char ch : json) {
+    fnv = (fnv ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
+  }
+  c.consume(static_cast<std::int64_t>(json.size()));
+  c.consume(static_cast<std::int64_t>(fnv >> 32));
+  c.consume(static_cast<std::int64_t>(fnv & 0xffffffffull));
 }
 
 const bench::BenchSpec kSpec{
@@ -121,15 +154,20 @@ CODESIGN_BENCH_CASES(ext_sweep_matrix) {
            "(render only; FNV-1a of the bytes is the checksum)",
            {benchlib::kSuitePerf},
            [](benchlib::CaseContext& c) {
-             const std::string json =
-                 sweep::sweep_report_json(render_matrix(), /*compact=*/true);
-             std::uint64_t fnv = 0xcbf29ce484222325ull;
-             for (const char ch : json) {
-               fnv = (fnv ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
-             }
-             c.consume(static_cast<std::int64_t>(json.size()));
-             c.consume(static_cast<std::int64_t>(fnv >> 32));
-             c.consume(static_cast<std::int64_t>(fnv & 0xffffffffull));
+             consume_report(c, sweep::sweep_report_json(render_matrix(),
+                                                        /*compact=*/true));
+           }});
+  reg.add({"sweep.run_matrix", "bench_ext_sweep_matrix",
+           "run_sweep over a fixed 2012-variant matrix on 4 threads, "
+           "uncached (FNV-1a of the compact report is the checksum)",
+           {benchlib::kSuitePerf},
+           [](benchlib::CaseContext& c) {
+             sweep::SweepOptions options;
+             options.threads = 4;
+             const sweep::SweepResult result =
+                 sweep::run_sweep(run_plan(), options);
+             consume_report(c, sweep::sweep_report_json(result,
+                                                        /*compact=*/true));
            }});
 }
 

@@ -29,82 +29,41 @@ namespace {
 /// once per search instead of once per candidate — the baseline layer
 /// analysis is exactly as expensive as a candidate's, so hoisting it halves
 /// the evaluation cost of the whole sweep.
-struct BaselineContext {
-  double layer_time = 0.0;
-  double param_count = 0.0;
-};
-
-BaselineContext make_baseline(const TransformerConfig& base,
-                              const gemm::GemmSimulator& sim) {
-  BaselineContext ctx;
-  ctx.layer_time = tfm::layer_total_time(base, sim);
-  ctx.param_count = static_cast<double>(tfm::exact_param_count(base));
-  return ctx;
+void set_baseline(GridEvaluation& ev, const TransformerConfig& base,
+                  const gemm::GemmSimulator& sim) {
+  ev.base_layer_time = tfm::layer_total_time(base, sim);
+  ev.base_param_count = static_cast<double>(tfm::exact_param_count(base));
 }
 
-ShapeCandidate evaluate_against(const TransformerConfig& config,
-                                const BaselineContext& base,
-                                const gemm::GemmSimulator& sim,
-                                tfm::LayerWorkspace& ws) {
-  // The batched layer_total_time is the lean twin of analyze_layer:
-  // bit-identical total, none of the per-op report the search never reads,
-  // and the candidate's GEMM list resolves through one estimate_times()
-  // call against `ws` instead of one estimate() per op.
+/// Evaluate one config into its slot's numbers. The batched
+/// layer_total_time is the lean twin of analyze_layer: bit-identical total,
+/// none of the per-op report the search never reads, and the candidate's
+/// GEMM list resolves through one estimate_times() call against `ws`.
+void evaluate_into(const TransformerConfig& config,
+                   const gemm::GemmSimulator& sim, tfm::LayerWorkspace& ws,
+                   CandidateSlot& slot) {
   const double layer_time = tfm::layer_total_time(config, sim, ws);
-  ShapeCandidate c;
-  c.config = config;
-  c.layer_time = layer_time;
-  c.layer_tflops = tfm::layer_forward_flops(config) / layer_time / 1e12;
-  c.speedup_vs_base = base.layer_time / layer_time;
-  c.param_count = static_cast<double>(tfm::exact_param_count(config));
-  c.param_delta_frac = (c.param_count - base.param_count) / base.param_count;
+  slot.layer_time = layer_time;
+  slot.layer_tflops = tfm::layer_forward_flops(config) / layer_time / 1e12;
+  slot.param_count = static_cast<double>(tfm::exact_param_count(config));
   RuleContext ctx;
   ctx.gpu = &sim.gpu();
-  c.rules_pass = satisfies_performance_rules(config, ctx);
+  slot.rules_pass = satisfies_performance_rules(config, ctx);
+}
+
+ShapeCandidate make_candidate(const TransformerConfig& config,
+                              const CandidateSlot& slot,
+                              const GridEvaluation& ev) {
+  ShapeCandidate c;
+  c.config = config;
+  c.layer_time = slot.layer_time;
+  c.layer_tflops = slot.layer_tflops;
+  c.speedup_vs_base = ev.speedup_vs_base(slot);
+  c.param_count = slot.param_count;
+  c.param_delta_frac = ev.param_delta_frac(slot);
+  c.rules_pass = slot.rules_pass;
   return c;
 }
-
-/// Deterministic merge: stable sort on (layer_time, config name) — the name
-/// tie-break makes the order total, so the ranking cannot depend on
-/// evaluation order — then trim. The baseline is always kept for reference:
-/// if it fell past the cut it replaces the worst kept candidate.
-void sort_and_trim(std::vector<ShapeCandidate>& cands,
-                   const TransformerConfig& baseline,
-                   const SearchOptions& options) {
-  std::stable_sort(cands.begin(), cands.end(),
-                   [](const ShapeCandidate& a, const ShapeCandidate& b) {
-                     if (a.layer_time != b.layer_time) {
-                       return a.layer_time < b.layer_time;
-                     }
-                     return a.config.name < b.config.name;
-                   });
-  if (cands.size() <= options.max_candidates) return;
-
-  const auto base_it =
-      std::find_if(cands.begin(), cands.end(), [&](const ShapeCandidate& c) {
-        return c.config == baseline;
-      });
-  const bool baseline_trimmed =
-      base_it != cands.end() &&
-      static_cast<std::size_t>(base_it - cands.begin()) >=
-          options.max_candidates;
-  ShapeCandidate baseline_copy;
-  if (baseline_trimmed) baseline_copy = *base_it;
-
-  cands.resize(options.max_candidates);
-  if (baseline_trimmed && !cands.empty()) {
-    cands.back() = std::move(baseline_copy);
-  }
-}
-
-/// Per-slot evaluation state: every generated candidate ends the sweep in
-/// exactly one of Done / Skipped / Unreached.
-enum class SlotState : std::uint8_t {
-  kPending,
-  kDone,
-  kSkipped,
-  kUnreached  ///< never started: the sweep was cancelled first
-};
 
 struct SkipInfo {
   std::string reason;
@@ -163,12 +122,12 @@ SlotState run_guarded(const SearchOptions& options, GuardCounters& counters,
 /// retry budget, the baseline is evaluated once more without the cache
 /// (counted as one retry). A fault of the estimator itself fires again
 /// there and aborts as before.
-BaselineContext guarded_baseline(const TransformerConfig& baseline,
-                                 const gemm::GemmSimulator& sim,
-                                 const SearchOptions& options,
-                                 GuardCounters& counters) {
+void guarded_baseline(GridEvaluation& ev, const TransformerConfig& baseline,
+                      const gemm::GemmSimulator& sim,
+                      const SearchOptions& options, GuardCounters& counters) {
   try {
-    return make_baseline(baseline, sim);
+    set_baseline(ev, baseline, sim);
+    return;
   } catch (const fail::InjectedFault& e) {
     if (!e.transient() || options.faults.strict ||
         options.faults.max_retries <= 0 || sim.cache() == nullptr) {
@@ -179,179 +138,118 @@ BaselineContext guarded_baseline(const TransformerConfig& baseline,
   counters.backoff.fetch_add(1, std::memory_order_relaxed);
   gemm::GemmSimulator uncached = sim;
   uncached.set_cache(nullptr);
-  return make_baseline(baseline, uncached);
+  set_baseline(ev, baseline, uncached);
 }
 
-/// The shared "generate → evaluate in parallel → deterministically merge"
-/// pipeline, now with per-candidate fault isolation, cancellation, and
-/// checkpoint/resume. `annotate` fills the human-readable note from the
-/// evaluated candidate (applied to ranked survivors only, after the trim);
-/// `keep` filters (e.g. the hidden sweep's parameter-delta bound). Candidates are evaluated into slots indexed by
-/// generation order, so the merged ranking — and the skip record — is
-/// byte-identical at any thread count.
+/// body(begin, end) over [0, n): inline on the calling thread for
+/// threads == 1, else chunked across the borrowed pool or one made for
+/// this call. Each chunk owns its workspaces, so batch setup (and the
+/// GEMM-time memo) is amortized across the chunk.
+void for_ranges(const SearchOptions& options, std::size_t n,
+                const std::function<void(std::size_t, std::size_t)>& body) {
+  if (options.threads == 1) {
+    body(0, n);
+  } else if (options.pool != nullptr) {
+    options.pool->parallel_for_ranges(n, body);
+  } else {
+    ThreadPool pool(options.threads);
+    pool.parallel_for_ranges(n, body);
+  }
+}
+
+/// The ranking consumer of the slot core: evaluate_grid, then filter with
+/// `keep` (empty = keep all) on slot numbers, select the top
+/// max_candidates indices by (layer_time, config name), and build
+/// ShapeCandidates — annotated by `annotate`, when set — for the kept
+/// indices only. Byte-identical at any thread count.
 SearchOutcome evaluate_pipeline(
     const std::vector<TransformerConfig>& configs,
     const TransformerConfig& baseline, const gemm::GemmSimulator& sim,
     const SearchOptions& options,
     const std::function<void(ShapeCandidate&)>& annotate,
-    const std::function<bool(const ShapeCandidate&)>& keep) {
-  // Self-profiling of the pipeline stages: wall-clock, so every series here
-  // is kBestEffort — the candidate/kept/skip counters below are the only
-  // deterministic ones. Everything is gated on the enabled flag so a
-  // metrics-off search takes no locks and reads no clocks.
-  const bool metrics_on = obs::MetricsRegistry::enabled();
-
-  GuardCounters counters;
-  const BaselineContext base =
-      guarded_baseline(baseline, sim, options, counters);
+    const std::function<bool(const TransformerConfig&, double)>& keep) {
+  const GridSource grid{
+      configs.size(),
+      [&configs](std::size_t i) -> const TransformerConfig& {
+        return configs[i];
+      },
+      [&configs](std::size_t i) { return configs[i].name; }};
+  const GridEvaluation ev = evaluate_grid(grid, baseline, sim, options);
+  const std::vector<CandidateSlot>& slots = ev.slots;
 
   SearchOutcome outcome;
   outcome.total_candidates = configs.size();
-
-  std::vector<ShapeCandidate> evaluated(configs.size());
-  std::vector<SlotState> state(configs.size(), SlotState::kPending);
-  std::vector<SkipInfo> skips(configs.size());
-
-  // Resume prefill (sequential, cheap): slots completed by a previous run
-  // are filled from the checkpoint — bit-exact, so downstream ranking
-  // cannot tell a resumed slot from a fresh one.
-  if (options.resume != nullptr) {
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      if (const CheckpointShapeEntry* e =
-              options.resume->shape(configs[i].name)) {
-        ShapeCandidate c;
-        c.config = configs[i];
-        c.layer_time = e->layer_time;
-        c.layer_tflops = e->layer_tflops;
-        c.speedup_vs_base = e->speedup_vs_base;
-        c.param_count = e->param_count;
-        c.param_delta_frac = e->param_delta_frac;
-        c.rules_pass = e->rules_pass;
-        evaluated[i] = std::move(c);
-        state[i] = SlotState::kDone;
-        ++outcome.resumed;
-      } else if (const CheckpointSkipEntry* s =
-                     options.resume->skip(configs[i].name)) {
-        state[i] = SlotState::kSkipped;
-        skips[i] = {s->reason, s->attempts};
-        ++outcome.resumed;
-      }
-    }
-  }
-
-  const auto evaluate_one = [&](std::size_t i, tfm::LayerWorkspace& ws) {
-    if (state[i] != SlotState::kPending) return;
-    SkipInfo skip;
-    const SlotState s = run_guarded(options, counters, &skip, [&] {
-      CODESIGN_FAILPOINT_T("advisor.search.evaluate",
-                           fail::token(configs[i].name));
-      ShapeCandidate c = evaluate_against(configs[i], base, sim, ws);
-      evaluated[i] = std::move(c);
-    });
-    state[i] = s;
-    if (s == SlotState::kSkipped) {
-      skips[i] = std::move(skip);
-      if (options.checkpoint != nullptr) {
-        options.checkpoint->record_skip(
-            configs[i].name, {skips[i].attempts, skips[i].reason});
-      }
-    } else if (s == SlotState::kDone && options.checkpoint != nullptr) {
-      const ShapeCandidate& c = evaluated[i];
-      options.checkpoint->record_shape(
-          configs[i].name,
-          {c.layer_time, c.layer_tflops, c.speedup_vs_base, c.param_count,
-           c.param_delta_frac, c.rules_pass});
-    }
-  };
-  {
-    obs::ScopedEvent span("search", "evaluate");
-    obs::ScopedTimer timer("advisor.search.evaluate_us");
-    if (options.threads == 1) {
-      tfm::LayerWorkspace ws;
-      for (std::size_t i = 0; i < configs.size(); ++i) evaluate_one(i, ws);
-    } else {
-      // Chunk-level dispatch: each pool task owns one workspace and feeds
-      // its whole candidate range through it, so buffer/batch setup is
-      // amortized across the chunk. Candidates still evaluate one at a time
-      // inside run_guarded — a fault touches exactly one slot, same as the
-      // sequential path.
-      ThreadPool pool(options.threads);
-      pool.parallel_for_ranges(configs.size(),
-                               [&](std::size_t begin, std::size_t end) {
-                                 tfm::LayerWorkspace ws;
-                                 for (std::size_t i = begin; i < end; ++i) {
-                                   evaluate_one(i, ws);
-                                 }
-                               });
-    }
-    if (timer.active() && !configs.empty()) {
-      const double us = timer.elapsed_us();
-      if (us > 0.0) {
-        obs::MetricsRegistry::global()
-            .gauge("advisor.search.candidates_per_sec")
-            .update_max(static_cast<double>(configs.size()) * 1e6 / us);
-      }
-    }
-  }
-
-  std::vector<ShapeCandidate> out;
-  out.reserve(evaluated.size());
+  outcome.evaluated = ev.evaluated;
+  outcome.resumed = ev.resumed;
+  outcome.retries = ev.retries;
+  outcome.backoff_units = ev.backoff_units;
+  outcome.truncated = ev.truncated;
+  outcome.cancel_reason = ev.cancel_reason;
   {
     obs::ScopedEvent span("search", "merge");
     obs::ScopedTimer timer("advisor.search.merge_us");
+    std::vector<std::size_t> kept;
+    kept.reserve(ev.evaluated);
     for (std::size_t i = 0; i < configs.size(); ++i) {
-      switch (state[i]) {
-        case SlotState::kDone:
-          ++outcome.evaluated;
-          if (keep(evaluated[i])) out.push_back(std::move(evaluated[i]));
-          break;
-        case SlotState::kSkipped:
-          outcome.skipped.push_back(
-              {configs[i], skips[i].reason, skips[i].attempts});
-          break;
-        case SlotState::kPending:  // cancelled before its chunk ran
-        case SlotState::kUnreached:
-          break;
+      const CandidateSlot& s = slots[i];
+      if (s.state == SlotState::kDone) {
+        if (!keep || keep(configs[i], ev.param_delta_frac(s))) {
+          kept.push_back(i);
+        }
+      } else if (s.state == SlotState::kSkipped) {
+        outcome.skipped.push_back({configs[i], s.skip_reason, s.attempts});
       }
     }
-    sort_and_trim(out, baseline, options);
+    // (layer_time, name) with generation order as the last resort: the
+    // order a stable sort on (layer_time, name) would produce.
+    const auto before = [&](std::size_t a, std::size_t b) {
+      if (slots[a].layer_time != slots[b].layer_time) {
+        return slots[a].layer_time < slots[b].layer_time;
+      }
+      const int c = configs[a].name.compare(configs[b].name);
+      return c != 0 ? c < 0 : a < b;
+    };
+    const std::size_t k = options.max_candidates;
+    if (kept.size() > k) {
+      // Top-k. The baseline is always kept for reference: if its best
+      // copy fell past the cut it replaces the worst kept candidate.
+      std::nth_element(kept.begin(), kept.begin() + static_cast<long>(k),
+                       kept.end(), before);
+      const auto is_base = [&](std::size_t i) {
+        return configs[i] == baseline;
+      };
+      std::size_t trimmed_base = configs.size();
+      if (std::none_of(kept.begin(), kept.begin() + static_cast<long>(k),
+                       is_base)) {
+        for (auto it = kept.begin() + static_cast<long>(k); it != kept.end();
+             ++it) {
+          if (is_base(*it) && (trimmed_base == configs.size() ||
+                               before(*it, trimmed_base))) {
+            trimmed_base = *it;
+          }
+        }
+      }
+      kept.resize(k);
+      std::sort(kept.begin(), kept.end(), before);
+      if (trimmed_base != configs.size() && !kept.empty()) {
+        kept.back() = trimmed_base;
+      }
+    } else {
+      std::sort(kept.begin(), kept.end(), before);
+    }
     // Notes are only visible on the ranked survivors, and neither `keep`
-    // nor the sort reads them, so the str_format work runs after the trim —
-    // O(kept) instead of O(evaluated) — with byte-identical output.
-    for (ShapeCandidate& c : out) annotate(c);
-  }
-  outcome.retries =
-      static_cast<std::size_t>(counters.retries.load(std::memory_order_relaxed));
-  outcome.backoff_units = counters.backoff.load(std::memory_order_relaxed);
-  outcome.truncated = outcome.unreached() > 0 ||
-                      (options.cancel != nullptr && options.cancel->cancelled());
-  if (options.cancel != nullptr) {
-    outcome.cancel_reason = options.cancel->reason();
-  }
-  if (options.checkpoint != nullptr) options.checkpoint->flush();
-
-  if (metrics_on) {
-    auto& reg = obs::MetricsRegistry::global();
-    reg.counter("advisor.search.runs").add();
-    reg.counter("advisor.search.candidates").add(configs.size());
-    reg.counter("advisor.search.kept").add(out.size());
-    reg.counter("advisor.search.skipped").add(outcome.skipped.size());
-    reg.counter("advisor.search.retries").add(outcome.retries);
-    reg.counter("advisor.search.retry_backoff_units").add(outcome.backoff_units);
-    reg.counter("advisor.search.resumed").add(outcome.resumed);
-    if (outcome.truncated) {
-      // Where the cut lands is wall-clock dependent, so the truncation
-      // counters can never be part of the deterministic export.
-      reg.counter("advisor.search.truncated", {}, obs::Stability::kBestEffort)
-          .add();
-      reg.counter("advisor.search.unreached", {}, obs::Stability::kBestEffort)
-          .add(outcome.unreached());
+    // nor the ranking reads them, so annotation is O(kept).
+    outcome.ranked.reserve(kept.size());
+    for (const std::size_t i : kept) {
+      outcome.ranked.push_back(make_candidate(configs[i], slots[i], ev));
+      if (annotate) annotate(outcome.ranked.back());
     }
   }
-  if (auto* rs = obs::RequestScope::current()) {
-    rs->search_candidates += outcome.evaluated;
+  if (obs::MetricsRegistry::enabled()) {
+    obs::MetricsRegistry::global()
+        .counter("advisor.search.kept")
+        .add(outcome.ranked.size());
   }
-  outcome.ranked = std::move(out);
   return outcome;
 }
 
@@ -578,8 +476,124 @@ const char* search_mode_name(SearchMode mode) {
 ShapeCandidate evaluate_candidate(const TransformerConfig& config,
                                   const TransformerConfig& baseline,
                                   const gemm::GemmSimulator& sim) {
+  GridEvaluation ev;
+  set_baseline(ev, baseline, sim);
   tfm::LayerWorkspace ws;
-  return evaluate_against(config, make_baseline(baseline, sim), sim, ws);
+  CandidateSlot slot;
+  evaluate_into(config, sim, ws, slot);
+  return make_candidate(config, slot, ev);
+}
+
+GridEvaluation evaluate_grid(const GridSource& grid,
+                             const TransformerConfig& baseline,
+                             const gemm::GemmSimulator& sim,
+                             const SearchOptions& options) {
+  GridEvaluation ev;
+  GuardCounters counters;
+  guarded_baseline(ev, baseline, sim, options, counters);
+  const std::size_t n = grid.size;
+  std::vector<CandidateSlot>& slots = ev.slots;
+  slots.resize(n);
+
+  // Resume prefill (sequential, cheap): slots completed by a previous run
+  // are filled from the checkpoint — bit-exact, so downstream ranking
+  // cannot tell a resumed slot from a fresh one.
+  if (options.resume != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::string key = grid.key(i);
+      CandidateSlot& s = slots[i];
+      if (const CheckpointShapeEntry* e = options.resume->shape(key)) {
+        s.layer_time = e->layer_time;
+        s.layer_tflops = e->layer_tflops;
+        s.param_count = e->param_count;
+        s.rules_pass = e->rules_pass;
+        s.state = SlotState::kDone;
+        ++ev.resumed;
+      } else if (const CheckpointSkipEntry* k = options.resume->skip(key)) {
+        s.skip_reason = k->reason;
+        s.attempts = k->attempts;
+        s.state = SlotState::kSkipped;
+        ++ev.resumed;
+      }
+    }
+  }
+
+  const auto evaluate_one = [&](std::size_t i, tfm::LayerWorkspace& ws) {
+    CandidateSlot& s = slots[i];
+    if (s.state != SlotState::kPending) return;
+    const TransformerConfig& config = grid.config(i);
+    SkipInfo skip;
+    s.state = run_guarded(options, counters, &skip, [&] {
+      CODESIGN_FAILPOINT_T("advisor.search.evaluate", fail::token(grid.key(i)));
+      evaluate_into(config, sim, ws, s);
+    });
+    if (s.state == SlotState::kSkipped) {
+      s.skip_reason = std::move(skip.reason);
+      s.attempts = skip.attempts;
+      if (options.checkpoint != nullptr) {
+        options.checkpoint->record_skip(grid.key(i),
+                                        {s.attempts, s.skip_reason});
+      }
+    } else if (s.state == SlotState::kDone && options.checkpoint != nullptr) {
+      options.checkpoint->record_shape(
+          grid.key(i), {s.layer_time, s.layer_tflops, ev.speedup_vs_base(s),
+                        s.param_count, ev.param_delta_frac(s), s.rules_pass});
+    }
+  };
+  {
+    // Self-profiling: wall-clock, so kBestEffort; a metrics-off run takes
+    // no locks and reads no clocks.
+    obs::ScopedEvent span("search", "evaluate");
+    obs::ScopedTimer timer("advisor.search.evaluate_us");
+    for_ranges(options, n, [&](std::size_t begin, std::size_t end) {
+      tfm::LayerWorkspace ws;
+      for (std::size_t i = begin; i < end; ++i) evaluate_one(i, ws);
+    });
+    if (timer.active() && n > 0) {
+      const double us = timer.elapsed_us();
+      if (us > 0.0) {
+        obs::MetricsRegistry::global()
+            .gauge("advisor.search.candidates_per_sec")
+            .update_max(static_cast<double>(n) * 1e6 / us);
+      }
+    }
+  }
+
+  for (const CandidateSlot& s : slots) {
+    if (s.state == SlotState::kDone) ++ev.evaluated;
+    if (s.state == SlotState::kSkipped) ++ev.skipped;
+  }
+  ev.retries =
+      static_cast<std::size_t>(counters.retries.load(std::memory_order_relaxed));
+  ev.backoff_units = counters.backoff.load(std::memory_order_relaxed);
+  const std::size_t unreached = n - ev.evaluated - ev.skipped;
+  ev.truncated = unreached > 0 ||
+                 (options.cancel != nullptr && options.cancel->cancelled());
+  if (options.cancel != nullptr) ev.cancel_reason = options.cancel->reason();
+  if (options.checkpoint != nullptr) options.checkpoint->flush();
+
+  if (obs::MetricsRegistry::enabled()) {
+    // advisor.search.kept is the consumer's: only it knows what it keeps.
+    auto& reg = obs::MetricsRegistry::global();
+    reg.counter("advisor.search.runs").add();
+    reg.counter("advisor.search.candidates").add(n);
+    reg.counter("advisor.search.skipped").add(ev.skipped);
+    reg.counter("advisor.search.retries").add(ev.retries);
+    reg.counter("advisor.search.retry_backoff_units").add(ev.backoff_units);
+    reg.counter("advisor.search.resumed").add(ev.resumed);
+    if (ev.truncated) {
+      // Where the cut lands is wall-clock dependent, so the truncation
+      // counters can never be part of the deterministic export.
+      reg.counter("advisor.search.truncated", {}, obs::Stability::kBestEffort)
+          .add();
+      reg.counter("advisor.search.unreached", {}, obs::Stability::kBestEffort)
+          .add(unreached);
+    }
+  }
+  if (auto* rs = obs::RequestScope::current()) {
+    rs->search_candidates += ev.evaluated;
+  }
+  return ev;
 }
 
 SearchOutcome run_grid_search(const std::vector<TransformerConfig>& configs,
@@ -587,11 +601,7 @@ SearchOutcome run_grid_search(const std::vector<TransformerConfig>& configs,
                               const gemm::GemmSimulator& sim,
                               const SearchOptions& options) {
   baseline.validate();
-  const std::function<void(ShapeCandidate&)> annotate =
-      [](ShapeCandidate&) {};
-  const std::function<bool(const ShapeCandidate&)> keep =
-      [](const ShapeCandidate&) { return true; };
-  return evaluate_pipeline(configs, baseline, sim, options, annotate, keep);
+  return evaluate_pipeline(configs, baseline, sim, options, {}, {});
 }
 
 std::string shape_search_fingerprint(SearchMode mode,
@@ -627,12 +637,11 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
 
   std::vector<TransformerConfig> configs;
   std::function<void(ShapeCandidate&)> annotate;
-  std::function<bool(const ShapeCandidate&)> keep =
-      [](const ShapeCandidate&) { return true; };
+  std::function<bool(const TransformerConfig&, double)> keep;
   const std::int64_t h0 = base.hidden_size;
   // Generation-time twin of the hidden/joint `keep` filter. The parameter
   // bound is a pure function of the config — the same arithmetic
-  // evaluate_against uses for param_delta_frac — so candidates that are
+  // evaluate_grid uses for param_delta_frac — so candidates that are
   // certain to be dropped never reach the (orders of magnitude costlier)
   // evaluation stage. `keep` stays on as the authoritative filter.
   const double base_params = static_cast<double>(tfm::exact_param_count(base));
@@ -641,6 +650,12 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
     const double params = static_cast<double>(tfm::exact_param_count(cfg));
     const double delta_frac = (params - base_params) / base_params;
     return std::fabs(delta_frac) <= options.max_param_delta_frac;
+  };
+  // The hidden/joint keep-filter, on the evaluated parameter delta.
+  const auto param_bound = [&options, h0](const TransformerConfig& cfg,
+                                          double param_delta_frac) {
+    return cfg.hidden_size == h0 ||
+           std::fabs(param_delta_frac) <= options.max_param_delta_frac;
   };
 
   switch (mode) {
@@ -677,10 +692,7 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
                             static_cast<long long>(c.config.hidden_size),
                             100.0 * c.param_delta_frac);
       };
-      keep = [&options, h0](const ShapeCandidate& c) {
-        return c.config.hidden_size == h0 ||
-               std::fabs(c.param_delta_frac) <= options.max_param_delta_frac;
-      };
+      keep = param_bound;
       break;
     case SearchMode::kJoint:
       for (std::int64_t h : hidden_grid(base, radius_frac, step)) {
@@ -702,10 +714,7 @@ SearchOutcome run_shape_search(SearchMode mode, const TransformerConfig& base,
                             static_cast<long long>(c.config.head_dim()),
                             100.0 * c.param_delta_frac);
       };
-      keep = [&options, h0](const ShapeCandidate& c) {
-        return c.config.hidden_size == h0 ||
-               std::fabs(c.param_delta_frac) <= options.max_param_delta_frac;
-      };
+      keep = param_bound;
       break;
   }
 
@@ -852,19 +861,10 @@ MlpSearchOutcome run_mlp_search(const TransformerConfig& base,
           {slots[i].mlp_time, slots[i].mlp_tflops, slots[i].coefficient});
     }
   };
-  if (options.threads == 1) {
+  for_ranges(options, widths.size(), [&](std::size_t begin, std::size_t end) {
     MlpScratch ws;
-    for (std::size_t i = 0; i < widths.size(); ++i) evaluate_one(i, ws);
-  } else {
-    ThreadPool pool(options.threads);
-    pool.parallel_for_ranges(widths.size(),
-                             [&](std::size_t begin, std::size_t end) {
-                               MlpScratch ws;
-                               for (std::size_t i = begin; i < end; ++i) {
-                                 evaluate_one(i, ws);
-                               }
-                             });
-  }
+    for (std::size_t i = begin; i < end; ++i) evaluate_one(i, ws);
+  });
 
   std::vector<MlpCandidate> out;
   out.reserve(widths.size());

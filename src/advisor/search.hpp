@@ -19,9 +19,10 @@
 // and pad_vocab is the Fig-20 / Karpathy rule: next multiple of 64.
 //
 // Every search runs the same pipeline: generate candidate configs →
-// evaluate them (in parallel when SearchOptions::threads > 1) →
-// deterministically merge (stable sort with a total tie-break on the config
-// name). Results are byte-identical at any thread count.
+// evaluate them into numbers-only slots (evaluate_grid, in parallel when
+// SearchOptions::threads > 1) → deterministically merge (top-k by the
+// total order (layer_time, config name), with candidates built for the
+// kept only). Results are byte-identical at any thread count.
 //
 // Robustness (docs/ROBUSTNESS.md): the pipeline isolates per-candidate
 // failures — a throwing candidate is recorded as a SkippedCandidate (after
@@ -33,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,10 @@
 #include "common/cancel.hpp"
 #include "gemmsim/simulator.hpp"
 #include "transformer/config.hpp"
+
+namespace codesign {
+class ThreadPool;
+}
 
 namespace codesign::advisor {
 
@@ -115,6 +121,10 @@ struct SearchOptions {
   /// thread, N > 1 = a pool of N workers, 0 = one worker per hardware
   /// thread. The ranking is identical for every value.
   std::size_t threads = 1;
+  /// Optional borrowed pool for threads != 1 (not owned). A caller that
+  /// runs many searches back to back (the sweep: one per cell) passes one
+  /// pool to all of them; null makes a pool of `threads` workers per call.
+  ThreadPool* pool = nullptr;
 
   /// Per-candidate failure handling (skip vs strict rethrow, retry budget).
   FaultPolicy faults;
@@ -165,6 +175,67 @@ struct SearchOutcome {
     return total_candidates - evaluated - skipped.size();
   }
 };
+
+/// Where one grid candidate ended its evaluation.
+enum class SlotState : std::uint8_t {
+  kPending,
+  kDone,
+  kSkipped,
+  kUnreached  ///< never started: the sweep was cancelled first
+};
+
+/// What the evaluation core wrote for candidate i: numbers only, no
+/// config copy. Consumers build their own results from slots by index.
+struct CandidateSlot {
+  SlotState state = SlotState::kPending;
+  bool rules_pass = false;   ///< satisfies_performance_rules
+  int attempts = 1;          ///< evaluation attempts (kSkipped)
+  double layer_time = 0.0;   ///< seconds per transformer layer
+  double layer_tflops = 0.0;
+  double param_count = 0.0;  ///< exact parameters
+  std::string skip_reason;   ///< kSkipped only
+};
+
+/// A candidate grid addressed by index. `config(i)` is what candidate i
+/// evaluates. `key(i)` is its identity in checkpoint records, resume
+/// lookups and failpoint tokens; it is only called while one of those is
+/// in use, so a plain run builds no key strings.
+struct GridSource {
+  std::size_t size = 0;
+  std::function<const TransformerConfig&(std::size_t)> config;
+  std::function<std::string(std::size_t)> key;
+};
+
+/// The slots of one grid plus the run record of evaluating it.
+struct GridEvaluation {
+  std::vector<CandidateSlot> slots;  ///< slot i belongs to candidate i
+  double base_layer_time = 0.0;
+  double base_param_count = 0.0;
+  std::size_t evaluated = 0;  ///< kDone slots (incl. resumed)
+  std::size_t skipped = 0;    ///< kSkipped slots (incl. resumed)
+  std::size_t resumed = 0;    ///< filled from the checkpoint
+  std::size_t retries = 0;
+  std::uint64_t backoff_units = 0;
+  bool truncated = false;
+  CancelReason cancel_reason = CancelReason::kNone;
+
+  double speedup_vs_base(const CandidateSlot& s) const {
+    return base_layer_time / s.layer_time;
+  }
+  double param_delta_frac(const CandidateSlot& s) const {
+    return (s.param_count - base_param_count) / base_param_count;
+  }
+};
+
+/// The one evaluation core behind every grid consumer: evaluates
+/// candidate i into slot i (in parallel per SearchOptions::threads/pool),
+/// with the pipeline's fault isolation, retries, cancellation, checkpoint
+/// records and resume prefill. Throws on baseline faults and strict-mode
+/// candidate faults. max_candidates and ordering are the consumer's.
+GridEvaluation evaluate_grid(const GridSource& grid,
+                             const TransformerConfig& baseline,
+                             const gemm::GemmSimulator& sim,
+                             const SearchOptions& options);
 
 enum class SearchMode { kHeads, kHidden, kJoint };
 const char* search_mode_name(SearchMode mode);

@@ -1,6 +1,7 @@
 #include "gemmsim/simulator.hpp"
 
 #include "common/error.hpp"
+#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/req_scope.hpp"
 
@@ -137,6 +138,88 @@ void GemmSimulator::estimate_many(std::span<const GemmProblem> problems,
   estimate_many(problems, out, workspace);
 }
 
+namespace {
+
+using TimeMemo = GemmSimulator::BatchWorkspace::TimeMemo;
+
+constexpr std::size_t kMemoInitialSlots = 64;
+/// Past this many slots a full table starts over instead of growing: a
+/// workspace that sees that many distinct shapes is not repeating them.
+constexpr std::size_t kMemoMaxSlots = std::size_t{1} << 15;
+
+/// The slot holding `p`, or the free slot where it belongs (linear
+/// probing; the table is never more than half full).
+std::size_t memo_slot(const TimeMemo& memo, const GemmProblem& p) {
+  const std::size_t mask = memo.problems.size() - 1;
+  const std::size_t h = p.hash_value();
+  for (std::size_t i = (h ^ (h >> 29)) & mask;; i = (i + 1) & mask) {
+    const GemmProblem& q = memo.problems[i];
+    if (q.m == 0 || q == p) return i;
+  }
+}
+
+void memo_reset(TimeMemo& memo, std::size_t slots) {
+  memo.problems.assign(slots, GemmProblem{});
+  memo.times.assign(slots, 0.0);
+  memo.used = 0;
+}
+
+void memo_insert(TimeMemo& memo, const GemmProblem& p, double time) {
+  if (2 * (memo.used + 1) > memo.problems.size()) {
+    const std::size_t slots = memo.problems.size();
+    if (slots >= kMemoMaxSlots) {
+      memo_reset(memo, slots);
+    } else {
+      TimeMemo grown;
+      memo_reset(grown, 2 * slots);
+      for (std::size_t i = 0; i < slots; ++i) {
+        if (memo.problems[i].m == 0) continue;
+        const std::size_t j = memo_slot(grown, memo.problems[i]);
+        grown.problems[j] = memo.problems[i];
+        grown.times[j] = memo.times[i];
+      }
+      memo.problems = std::move(grown.problems);
+      memo.times = std::move(grown.times);
+    }
+  }
+  const std::size_t i = memo_slot(memo, p);
+  memo.problems[i] = p;
+  memo.times[i] = time;
+  ++memo.used;
+}
+
+}  // namespace
+
+void GemmSimulator::memoized_times(std::span<const GemmProblem> problems,
+                                   std::span<double> out,
+                                   BatchWorkspace& workspace) const {
+  TimeMemo& memo = workspace.memo;
+  // An active recorder wants every problem's selection trail, and a
+  // workspace's first batch may be its only one: both scan every problem.
+  if (!memo.warm || obs::EventRecorder::active() != nullptr) {
+    memo.warm = true;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      out[i] = prepared_->time_one(problems[i]);
+    }
+    return;
+  }
+  if (memo.owner != prepared_) {
+    // Times from another GPU or policy must never be read back.
+    memo.owner = prepared_;
+    memo_reset(memo, kMemoInitialSlots);
+  }
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    const std::size_t slot = memo_slot(memo, problems[i]);
+    if (memo.problems[slot].m != 0) {
+      out[i] = memo.times[slot];
+      continue;
+    }
+    // A faulting scan throws before the insert: faults are never stored.
+    out[i] = prepared_->time_one(problems[i]);
+    memo_insert(memo, problems[i], out[i]);
+  }
+}
+
 void GemmSimulator::estimate_times(std::span<const GemmProblem> problems,
                                    std::span<double> out,
                                    BatchWorkspace& workspace) const {
@@ -153,9 +236,7 @@ void GemmSimulator::estimate_times(std::span<const GemmProblem> problems,
     return;
   }
   if (cache_ == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = prepared_->time_one(problems[i]);
-    }
+    memoized_times(problems, out, workspace);
   } else {
     make_keys(problems, workspace);
     cache_->lookup_times_many(workspace.keys, out.data(), workspace.hit.data(),

@@ -50,6 +50,21 @@ class GemmSimulator {
     std::vector<std::uint8_t> hit;
     std::vector<KernelEstimate> estimates;
     EstimateCache::BatchScratch scratch;
+
+    /// The times this workspace already computed on the uncached
+    /// times-only path: an open-addressing table keyed by the full
+    /// GemmProblem (a free slot has m == 0). It belongs to the catalogue
+    /// that filled it and empties itself when handed to another
+    /// simulator. It holds successes only, and it stays unallocated until
+    /// the workspace's second batch, so a throwaway workspace never pays
+    /// for it.
+    struct TimeMemo {
+      std::shared_ptr<const PreparedCatalogue> owner;
+      std::vector<GemmProblem> problems;
+      std::vector<double> times;
+      std::size_t used = 0;
+      bool warm = false;  ///< a batch already ran through this workspace
+    } memo;
   };
 
   /// Batched estimate: fills out[i] with exactly what estimate(problems[i])
@@ -73,6 +88,9 @@ class GemmSimulator {
   /// but cache hits copy one double instead of a full KernelEstimate. The
   /// hot call of the batched search pipeline. Misses still compute and
   /// insert the full estimate, so cache population matches the scalar path.
+  /// Without a cache, metrics or an active EventRecorder, a problem the
+  /// workspace already timed is read back from workspace.memo instead of
+  /// scanned again (docs/search_pipeline.md, "The per-workspace memo").
   void estimate_times(std::span<const GemmProblem> problems,
                       std::span<double> out, BatchWorkspace& workspace) const;
 
@@ -112,6 +130,9 @@ class GemmSimulator {
   void resolve_misses(std::span<const GemmProblem> problems,
                       std::span<KernelEstimate> estimates, double* times,
                       BatchWorkspace& workspace) const;
+  /// The uncached times-only path through workspace.memo.
+  void memoized_times(std::span<const GemmProblem> problems,
+                      std::span<double> out, BatchWorkspace& workspace) const;
 
   const gpu::GpuSpec* gpu_;  ///< registry-owned, never null
   TilePolicy policy_;

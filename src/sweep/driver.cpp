@@ -1,12 +1,14 @@
 #include "sweep/driver.hpp"
 
 #include <algorithm>
-#include <map>
+#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
+#include "common/thread_pool.hpp"
 #include "gpuarch/gpu_spec.hpp"
+#include "obs/metrics.hpp"
 
 namespace codesign::sweep {
 
@@ -47,6 +49,12 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
         {wl.name, wl.family, wl.base.to_string(), wl.variants.size()});
   }
 
+  // One pool for the whole matrix: every cell's grid runs on it.
+  std::unique_ptr<ThreadPool> pool;
+  if (options.threads != 1) {
+    pool = std::make_unique<ThreadPool>(options.threads);
+  }
+
   for (const WorkloadSpec& wl : plan.workloads) {
     for (const std::string& gpu : plan.gpus) {
       if (options.cancel != nullptr && options.cancel->cancelled()) {
@@ -60,33 +68,39 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       gemm::GemmSimulator sim(gpu::gpu_by_name(gpu), options.policy);
       if (options.cache != nullptr) sim.set_cache(options.cache);
 
-      std::vector<tfm::TransformerConfig> configs;
-      configs.reserve(wl.variants.size());
-      std::map<std::string, const WorkloadVariant*> by_name;
-      for (const WorkloadVariant& v : wl.variants) {
-        tfm::TransformerConfig c = v.config;
-        c.name = candidate_name(wl, v, gpu);
-        by_name.emplace(c.name, &v);
-        configs.push_back(std::move(c));
-      }
-
+      // Variant i of the workload is grid candidate i: the configs are
+      // read in place, and the cell-unique names are only built for
+      // checkpoint keys, failpoint tokens and the report.
+      const std::vector<WorkloadVariant>& variants = wl.variants;
+      const advisor::GridSource grid{
+          variants.size(),
+          [&variants](std::size_t i) -> const tfm::TransformerConfig& {
+            return variants[i].config;
+          },
+          [&](std::size_t i) { return candidate_name(wl, variants[i], gpu); }};
       advisor::SearchOptions so;
       so.threads = options.threads;
-      so.max_candidates = configs.size();
+      so.pool = pool.get();
       so.faults = options.faults;
       so.cancel = options.cancel;
       so.checkpoint = options.checkpoint;
       so.resume = options.resume;
-      const advisor::SearchOutcome outcome =
-          advisor::run_grid_search(configs, wl.base, sim, so);
+      const advisor::GridEvaluation ev =
+          advisor::evaluate_grid(grid, wl.base, sim, so);
 
-      result.evaluated += outcome.evaluated;
-      result.resumed += outcome.resumed;
-      result.retries += outcome.retries;
-      result.skipped += outcome.skipped.size();
-      if (outcome.truncated) {
+      result.evaluated += ev.evaluated;
+      result.resumed += ev.resumed;
+      result.retries += ev.retries;
+      result.skipped += ev.skipped;
+      if (obs::MetricsRegistry::enabled()) {
+        // A cell keeps every evaluated variant.
+        obs::MetricsRegistry::global()
+            .counter("advisor.search.kept")
+            .add(ev.evaluated);
+      }
+      if (ev.truncated) {
         result.truncated = true;
-        result.cancel_reason = outcome.cancel_reason;
+        result.cancel_reason = ev.cancel_reason;
         return result;  // drop the partial cell: completed cells only
       }
 
@@ -94,33 +108,41 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       cell.workload = wl.name;
       cell.family = wl.family;
       cell.gpu = gpu;
-      for (const advisor::ShapeCandidate& cand : outcome.ranked) {
-        const WorkloadVariant& v = *by_name.at(cand.config.name);
-        SweepVariantResult vr;
-        vr.label = v.label;
-        vr.note = v.note;
-        vr.config = cand.config;
-        vr.layer_time = cand.layer_time;
-        vr.layer_tflops = cand.layer_tflops;
-        vr.time_per_token =
-            cand.layer_time / static_cast<double>(cand.config.tokens());
-        vr.param_count = cand.param_count;
-        vr.rules_pass = cand.rules_pass;
-        cell.variants.push_back(std::move(vr));
-      }
       // Families vary seq_len within one cell, so the comparable score is
-      // time per token, not raw layer time; (tpt, label) is a total order.
-      std::stable_sort(cell.variants.begin(), cell.variants.end(),
-                       [](const SweepVariantResult& a,
-                          const SweepVariantResult& b) {
-                         if (a.time_per_token != b.time_per_token) {
-                           return a.time_per_token < b.time_per_token;
-                         }
-                         return a.label < b.label;
-                       });
-      for (const advisor::SkippedCandidate& s : outcome.skipped) {
-        cell.skipped.push_back(
-            {by_name.at(s.config.name)->label, s.reason, s.attempts});
+      // time per token, not raw layer time; (tpt, label) is a total order
+      // because labels are unique within a workload.
+      std::vector<double> tpt(variants.size());
+      std::vector<std::size_t> order;
+      order.reserve(ev.evaluated);
+      for (std::size_t i = 0; i < variants.size(); ++i) {
+        const advisor::CandidateSlot& s = ev.slots[i];
+        if (s.state == advisor::SlotState::kDone) {
+          tpt[i] = s.layer_time /
+                   static_cast<double>(variants[i].config.tokens());
+          order.push_back(i);
+        } else if (s.state == advisor::SlotState::kSkipped) {
+          cell.skipped.push_back(
+              {variants[i].label, s.skip_reason, s.attempts});
+        }
+      }
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) {
+                  if (tpt[a] != tpt[b]) return tpt[a] < tpt[b];
+                  return variants[a].label < variants[b].label;
+                });
+      cell.variants.reserve(order.size());
+      for (const std::size_t i : order) {
+        const advisor::CandidateSlot& s = ev.slots[i];
+        SweepVariantResult& vr = cell.variants.emplace_back();
+        vr.label = variants[i].label;
+        vr.note = variants[i].note;
+        vr.config = variants[i].config;
+        vr.config.name = candidate_name(wl, variants[i], gpu);
+        vr.layer_time = s.layer_time;
+        vr.layer_tflops = s.layer_tflops;
+        vr.time_per_token = tpt[i];
+        vr.param_count = static_cast<std::int64_t>(s.param_count);
+        vr.rules_pass = s.rules_pass;
       }
       if (!cell.variants.empty()) {
         cell.attribution =

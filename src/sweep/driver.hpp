@@ -2,11 +2,13 @@
 //
 // The SweepDriver walks the plan's cells in a fixed order — workloads in
 // file order, GPUs in file order within each workload — and evaluates each
-// cell's variants through advisor::run_grid_search: per-candidate fault
-// isolation, transient retries, cancellation, the shared EstimateCache,
-// and the thread pool all come from that one pipeline, so a sweep inherits
-// the search's determinism guarantee (byte-identical results at any thread
-// count or cache state).
+// cell's variants through advisor::evaluate_grid, the search's evaluation
+// core: per-candidate fault isolation, transient retries, cancellation,
+// the shared EstimateCache and the thread pool (one per sweep, shared by
+// every cell) all come from it, so a sweep inherits the search's
+// determinism guarantee (byte-identical results at any thread count or
+// cache state). Each cell's results are built by index from the
+// numbers-only slots the core fills.
 //
 // Checkpoint/resume reuses the search checkpoint format: the whole matrix
 // shares one CheckpointWriter keyed by cell-unique variant names

@@ -447,6 +447,108 @@ TEST(EstimateMany, MultiProblemBatchThrowsIffAnyMemberFaults) {
   EXPECT_EQ(any_scalar, batch_threw);
 }
 
+// ---------------------------------------------------------------------------
+// The per-workspace GEMM-time memo of the uncached times-only path.
+
+/// shape_set() with repeats inside one batch (every problem twice, the
+/// second pass reversed).
+std::vector<GemmProblem> repeating_batch() {
+  std::vector<GemmProblem> batch = shape_set();
+  const std::vector<GemmProblem> shapes = shape_set();
+  batch.insert(batch.end(), shapes.rbegin(), shapes.rend());
+  return batch;
+}
+
+TEST(TimeMemo, OneWorkspaceAcrossSimulatorsMatchesTheReference) {
+  const std::vector<GemmProblem> batch = repeating_batch();
+  GemmSimulator::BatchWorkspace ws;  // reused by every simulator below
+  const std::pair<const char*, TilePolicy> sims[] = {
+      {"a100", TilePolicy::kAuto},
+      {"h100", TilePolicy::kAuto},
+      {"a100", TilePolicy::kFixedLargest},
+      {"a100", TilePolicy::kAuto},  // back again: no stale h100/fixed times
+  };
+  for (const auto& [id, policy] : sims) {
+    const gpu::GpuSpec& gpu = gpu::gpu_by_name(id);
+    const GemmSimulator sim(gpu, policy);
+    SCOPED_TRACE(std::string(id) +
+                 (policy == TilePolicy::kAuto ? " auto" : " fixed"));
+    // Three batches: repeats inside each one and across them.
+    for (int round = 0; round < 3; ++round) {
+      std::vector<double> times(batch.size());
+      sim.estimate_times(batch, times, ws);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(times[i], reference_estimate(batch[i], policy, gpu).time)
+            << batch[i].to_string();
+      }
+    }
+    EXPECT_EQ(ws.memo.owner.get(), &sim.prepared());
+  }
+  // Only distinct problems are stored.
+  EXPECT_EQ(ws.memo.used, shape_set().size());
+}
+
+TEST(TimeMemo, SelectKernelDrillFaultsTheSameProblemsWithAndWithoutRepeats) {
+  const std::vector<GemmProblem> shapes = shape_set();
+  fail::clear();
+  fail::configure("gemmsim.select_kernel=prob:0.5:1234");
+  const std::vector<bool> scalar = scalar_fault_set(shapes, false);
+  // Through one warm workspace, each problem three times: a faulted scan
+  // is never stored, so a repeat faults again; a clean one stays clean.
+  const GemmSimulator sim = GemmSimulator::for_gpu("a100");
+  GemmSimulator::BatchWorkspace ws;
+  std::vector<std::vector<bool>> repeated(3);
+  for (int round = 0; round < 3; ++round) {
+    for (const GemmProblem& p : shapes) {
+      const std::vector<GemmProblem> one = {p};
+      std::vector<double> t(1);
+      bool f = false;
+      try {
+        sim.estimate_times(one, t, ws);
+      } catch (const fail::InjectedFault&) {
+        f = true;
+      }
+      repeated[round].push_back(f);
+    }
+  }
+  // A batch holding a faulting problem twice still throws.
+  std::vector<GemmProblem> twice;
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    if (scalar[i]) twice = {shapes[i], shapes[i]};
+  }
+  bool twice_threw = false;
+  if (!twice.empty()) {
+    std::vector<double> t(twice.size());
+    try {
+      sim.estimate_times(twice, t, ws);
+    } catch (const fail::InjectedFault&) {
+      twice_threw = true;
+    }
+  }
+  fail::clear();
+  for (int round = 0; round < 3; ++round) EXPECT_EQ(scalar, repeated[round]);
+  EXPECT_NE(std::count(scalar.begin(), scalar.end(), true), 0);
+  EXPECT_NE(std::count(scalar.begin(), scalar.end(), false), 0);
+  EXPECT_TRUE(twice_threw);
+}
+
+TEST(TimeMemo, ActiveRecorderScansEveryProblem) {
+  const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
+  const GemmSimulator sim(gpu);
+  const std::vector<GemmProblem> batch = repeating_batch();
+  GemmSimulator::BatchWorkspace ws;
+  std::vector<double> times(batch.size());
+  sim.estimate_times(batch, times, ws);  // warm: the memo would answer now
+
+  obs::ScopedRecorder scoped;
+  sim.estimate_times(batch, times, ws);
+  std::size_t selects = 0;
+  for (const obs::TraceEvent& e : scoped.recorder().events()) {
+    if (e.category == "select") ++selects;
+  }
+  EXPECT_EQ(selects, batch.size() * gpu::default_tile_catalogue().size());
+}
+
 }  // namespace
 }  // namespace codesign::gemm
 

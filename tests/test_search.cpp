@@ -284,6 +284,108 @@ TEST(PadVocab, PaperExamples) {
   EXPECT_THROW(pad_vocab(0), Error);
 }
 
+// ---------------------------------------------------------------------------
+// Top-k oracle: the pipeline's selection against a test-side full stable
+// sort of evaluate_candidate results plus the baseline-retention rule.
+
+/// Full stable sort on (layer_time, name), trimmed to k; a baseline copy
+/// that fell past the cut replaces the last kept candidate.
+std::vector<ShapeCandidate> oracle_top_k(std::vector<ShapeCandidate> all,
+                                         const tfm::TransformerConfig& base,
+                                         std::size_t k) {
+  std::stable_sort(all.begin(), all.end(),
+                   [](const ShapeCandidate& a, const ShapeCandidate& b) {
+                     if (a.layer_time != b.layer_time) {
+                       return a.layer_time < b.layer_time;
+                     }
+                     return a.config.name < b.config.name;
+                   });
+  if (all.size() <= k) return all;
+  const auto it =
+      std::find_if(all.begin(), all.end(),
+                   [&](const ShapeCandidate& c) { return c.config == base; });
+  const bool trimmed = it != all.end() &&
+                       static_cast<std::size_t>(it - all.begin()) >= k;
+  const ShapeCandidate kept_base = trimmed ? *it : ShapeCandidate{};
+  all.resize(k);
+  if (trimmed && !all.empty()) all.back() = kept_base;
+  return all;
+}
+
+TEST(TopK, JointSearchMatchesAFullStableSort) {
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  const gemm::GemmSimulator s = sim();
+  // Every candidate, untrimmed: the set the oracle ranks by itself.
+  SearchOptions all_opts;
+  all_opts.max_candidates = 100000;
+  const std::vector<ShapeCandidate> all =
+      run_shape_search(SearchMode::kJoint, base, s, 0.1, 0, all_opts).ranked;
+  ASSERT_GT(all.size(), 20u);
+  std::vector<ShapeCandidate> evaluated;
+  for (const ShapeCandidate& c : all) {
+    ShapeCandidate e = evaluate_candidate(c.config, base, s);
+    e.note = c.note;  // the annotation is a pure function of the candidate
+    evaluated.push_back(std::move(e));
+  }
+  // The baseline ranks past the first few, so small k drills retention.
+  const auto base_pos = std::find_if(all.begin(), all.end(),
+                                     [&](const ShapeCandidate& c) {
+                                       return c.config == base;
+                                     }) - all.begin();
+  ASSERT_GE(base_pos, 3);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{16},
+                              all.size() - 1, all.size()}) {
+    const std::vector<ShapeCandidate> want = oracle_top_k(evaluated, base, k);
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " threads=" + std::to_string(threads));
+      SearchOptions opts;
+      opts.max_candidates = k;
+      opts.threads = threads;
+      EXPECT_EQ(run_shape_search(SearchMode::kJoint, base, s, 0.1, 0, opts)
+                    .ranked,
+                want);
+    }
+  }
+}
+
+TEST(TopK, GridSearchTiesBreakByName) {
+  const tfm::TransformerConfig base = model_by_name("gpt3-2.7b");
+  const gemm::GemmSimulator s = sim();
+  // Three copies of each shape under shuffled names force layer_time ties
+  // that only the name can break; the baseline itself is slower than all
+  // of them, so every trim below drops it and retention must bring it back.
+  std::vector<tfm::TransformerConfig> grid;
+  for (const std::int64_t h : {1024, 1280, 1536, 1792}) {
+    for (const char* prefix : {"m-", "z-", "a-"}) {
+      grid.push_back(base.with_hidden(h).with_heads(16).with_name(
+          std::string(prefix) + std::to_string(h)));
+    }
+  }
+  grid.push_back(base);
+  std::vector<ShapeCandidate> evaluated;
+  for (const tfm::TransformerConfig& c : grid) {
+    evaluated.push_back(evaluate_candidate(c, base, s));
+  }
+  ASSERT_EQ(evaluated[0].layer_time, evaluated[1].layer_time);  // real ties
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{5}, std::size_t{7}, grid.size()}) {
+    const std::vector<ShapeCandidate> want = oracle_top_k(evaluated, base, k);
+    for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " threads=" + std::to_string(threads));
+      SearchOptions opts;
+      opts.max_candidates = k;
+      opts.threads = threads;
+      const SearchOutcome out = run_grid_search(grid, base, s, opts);
+      EXPECT_EQ(out.ranked, want);
+      if (k > 0 && k < grid.size()) {
+        EXPECT_EQ(out.ranked.back().config, base);
+      }
+    }
+  }
+}
+
 TEST(EvaluateCandidate, SpeedupIsRelative) {
   const auto base = model_by_name("gpt3-2.7b");
   const ShapeCandidate self = evaluate_candidate(base, base, sim());

@@ -6,6 +6,9 @@
 //     all pure, validated, and diagnosed with the offending file:line,
 //   * the extended hardware axis (b200, mi300x, npu-edge) resolving
 //     through the registry with valid ladders,
+//   * an independent oracle: every cell's variants, field for field, equal
+//     the reporting path (analyze_layer & co.) sorted by (tpt, label), and
+//     a failpoint drill skips exactly the variants whose token fires,
 //   * the determinism contract: the codesign.sweep report is byte-identical
 //     at 1 and 8 threads, and byte-identical between an uninterrupted run
 //     and one interrupted at the "sweep.cell" failpoint and resumed from
@@ -14,12 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "advisor/checkpoint.hpp"
+#include "advisor/rules.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "gemmsim/estimate_cache.hpp"
@@ -28,6 +33,9 @@
 #include "sweep/report.hpp"
 #include "sweep/workload.hpp"
 #include "transformer/config_parse.hpp"
+#include "transformer/flops.hpp"
+#include "transformer/layer_model.hpp"
+#include "transformer/params.hpp"
 
 namespace codesign {
 namespace {
@@ -303,6 +311,168 @@ TEST_F(SweepResumeTest, ForeignCheckpointIsRejectedByFingerprint) {
   SweepOptions opts;
   opts.resume = &cp;
   EXPECT_THROW(run_matrix(plan, 1, opts), ConfigError);
+}
+
+// ---------------------------------------------------------------------------
+// Independent oracle: every cell, rebuilt from the reporting path.
+
+constexpr const char* kFourFamilies =
+    "[sweep]\n"
+    "name = oracle-matrix\n"
+    "gpus = a100, h100\n"
+    "[workload]\n"
+    "family = decoder\n"
+    "name = dec\n"
+    "model = gpt3-125m\n"
+    "heads = 6, 8, 12, 16\n"
+    "hidden = 768, 1152, 1536\n"
+    "[workload]\n"
+    "family = gqa\n"
+    "name = gqa\n"
+    "model = llama2-7b\n"
+    "kv_ratios = 1, 4, 32\n"
+    "[workload]\n"
+    "family = moe\n"
+    "name = moe\n"
+    "model = gpt3-125m\n"
+    "experts = 8, 16\n"
+    "top_k = 1, 2\n"
+    "[workload]\n"
+    "family = prefill\n"
+    "name = prefill\n"
+    "model = gpt3-125m\n"
+    "seq_lens = 256, 512, 1024, 2048\n";
+
+/// The expected cell: every variant through analyze_layer (the reporting
+/// path, not the search's batched walk), stably sorted by (tpt, label).
+/// Variants in `skipped_labels` are left out.
+std::vector<sweep::SweepVariantResult> oracle_cell(
+    const sweep::WorkloadSpec& wl, const std::string& gpu,
+    const std::vector<std::string>& skipped_labels) {
+  const gemm::GemmSimulator sim = gemm::GemmSimulator::for_gpu(gpu);
+  advisor::RuleContext ctx;
+  ctx.gpu = &sim.gpu();
+  std::vector<sweep::SweepVariantResult> out;
+  for (const sweep::WorkloadVariant& v : wl.variants) {
+    if (std::find(skipped_labels.begin(), skipped_labels.end(), v.label) !=
+        skipped_labels.end()) {
+      continue;
+    }
+    sweep::SweepVariantResult r;
+    r.label = v.label;
+    r.note = v.note;
+    r.config = v.config.with_name(wl.name + "/" + v.label + "@" + gpu);
+    r.layer_time = tfm::analyze_layer(v.config, sim).total_time;
+    r.layer_tflops = tfm::layer_forward_flops(v.config) / r.layer_time / 1e12;
+    r.time_per_token = r.layer_time / static_cast<double>(v.config.tokens());
+    r.param_count = tfm::exact_param_count(v.config);
+    r.rules_pass = advisor::satisfies_performance_rules(v.config, ctx);
+    out.push_back(std::move(r));
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const sweep::SweepVariantResult& a,
+                      const sweep::SweepVariantResult& b) {
+                     if (a.time_per_token != b.time_per_token) {
+                       return a.time_per_token < b.time_per_token;
+                     }
+                     return a.label < b.label;
+                   });
+  return out;
+}
+
+void expect_cell_matches_oracle(
+    const sweep::SweepCell& cell,
+    const std::vector<sweep::SweepVariantResult>& want) {
+  ASSERT_EQ(cell.variants.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const sweep::SweepVariantResult& got = cell.variants[i];
+    SCOPED_TRACE(want[i].label);
+    EXPECT_EQ(got.label, want[i].label);
+    EXPECT_EQ(got.note, want[i].note);
+    EXPECT_EQ(got.config, want[i].config);
+    EXPECT_EQ(got.layer_time, want[i].layer_time);
+    EXPECT_EQ(got.layer_tflops, want[i].layer_tflops);
+    EXPECT_EQ(got.time_per_token, want[i].time_per_token);
+    EXPECT_EQ(got.param_count, want[i].param_count);
+    EXPECT_EQ(got.rules_pass, want[i].rules_pass);
+  }
+}
+
+TEST(SweepOracle, EveryCellMatchesTheReportingPathAtAnyThreadCount) {
+  fail::clear();
+  const SweepPlan plan = sweep::parse_sweep_config(kFourFamilies, "o.conf");
+  ASSERT_EQ(plan.cells(), 8u);
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SweepOptions opts;
+    opts.threads = threads;  // uncached: the CLI default
+    const SweepResult r = sweep::run_sweep(plan, opts);
+    ASSERT_EQ(r.cells.size(), plan.cells());
+    std::size_t cell = 0;
+    for (const sweep::WorkloadSpec& wl : plan.workloads) {
+      for (const std::string& gpu : plan.gpus) {
+        const sweep::SweepCell& c = r.cells[cell++];
+        SCOPED_TRACE(wl.name + "@" + gpu);
+        EXPECT_EQ(c.workload, wl.name);
+        EXPECT_EQ(c.gpu, gpu);
+        EXPECT_TRUE(c.skipped.empty());
+        expect_cell_matches_oracle(c, oracle_cell(wl, gpu, {}));
+      }
+    }
+  }
+}
+
+TEST(SweepOracle, SkippedVariantsAreExactlyTheOnesWhoseTokenFires) {
+  const char* const kSpec = "advisor.search.evaluate=prob:0.3:11";
+  const SweepPlan plan = sweep::parse_sweep_config(kFourFamilies, "o.conf");
+  // Which variants the drill hits, asked of the failpoint directly with
+  // each variant's token (its cell-unique name).
+  fail::clear();
+  fail::configure(kSpec);
+  std::vector<std::vector<std::string>> fires;
+  std::size_t total_fired = 0;
+  for (const sweep::WorkloadSpec& wl : plan.workloads) {
+    for (const std::string& gpu : plan.gpus) {
+      std::vector<std::string> labels;
+      for (const sweep::WorkloadVariant& v : wl.variants) {
+        try {
+          fail::hit("advisor.search.evaluate",
+                    fail::token(wl.name + "/" + v.label + "@" + gpu));
+        } catch (const fail::InjectedFault&) {
+          labels.push_back(v.label);
+        }
+      }
+      total_fired += labels.size();
+      fires.push_back(std::move(labels));
+    }
+  }
+  ASSERT_GT(total_fired, 0u);  // the drill must bite
+
+  for (const std::size_t threads : {1u, 3u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    fail::clear();
+    fail::configure(kSpec);
+    SweepOptions opts;
+    opts.threads = threads;
+    const SweepResult r = sweep::run_sweep(plan, opts);
+    fail::clear();
+    ASSERT_EQ(r.cells.size(), plan.cells());
+    EXPECT_EQ(r.skipped, total_fired);
+    std::size_t cell = 0;
+    for (const sweep::WorkloadSpec& wl : plan.workloads) {
+      for (const std::string& gpu : plan.gpus) {
+        const sweep::SweepCell& c = r.cells[cell];
+        const std::vector<std::string>& want = fires[cell++];
+        SCOPED_TRACE(wl.name + "@" + gpu);
+        ASSERT_EQ(c.skipped.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(c.skipped[i].label, want[i]);  // generation order
+          EXPECT_EQ(c.skipped[i].attempts, 3);     // 1 + 2 transient retries
+        }
+        expect_cell_matches_oracle(c, oracle_cell(wl, gpu, want));
+      }
+    }
+  }
 }
 
 TEST(SweepReport, JsonCarriesTheContractFields) {
