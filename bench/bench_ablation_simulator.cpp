@@ -122,8 +122,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ablation_simulator) {
+CODESIGN_BENCH(ablation_simulator) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"ablation.mechanisms", "bench_ablation_simulator",
            "alignment/wave/tile ablations plus the DES cross-check",
            {benchlib::kSuiteExt},
@@ -151,5 +152,3 @@ CODESIGN_BENCH_CASES(ablation_simulator) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

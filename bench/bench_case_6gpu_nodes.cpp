@@ -77,8 +77,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(case_6gpu_nodes) {
+CODESIGN_BENCH(case_6gpu_nodes) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"case.six_gpu_nodes", "bench_case_6gpu_nodes",
            "TP option analysis for the three §VII-A configurations",
            {benchlib::kSuiteExt},
@@ -106,5 +107,3 @@ CODESIGN_BENCH_CASES(case_6gpu_nodes) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -69,8 +69,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(case_bert) {
+CODESIGN_BENCH(case_bert) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"case.bert_serving", "bench_case_bert",
            "encoder serving estimates on four devices + the vocab flaw",
            {benchlib::kSuiteExt, benchlib::kSuiteSmoke},
@@ -88,5 +89,3 @@ CODESIGN_BENCH_CASES(case_bert) {
                  tfm::logit_gemm(bert.with_microbatch(32).with_vocab(30528))));
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -76,8 +76,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(case_gpt3_27b) {
+CODESIGN_BENCH(case_gpt3_27b) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"case.gpt3_27b_reshape", "bench_case_gpt3_27b",
            "full-model + inference impact of the C2 re-shape and its clones",
            {benchlib::kSuiteExt},
@@ -98,5 +99,3 @@ CODESIGN_BENCH_CASES(case_gpt3_27b) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

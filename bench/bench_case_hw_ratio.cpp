@@ -90,8 +90,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(case_hw_ratio) {
+CODESIGN_BENCH(case_hw_ratio) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"case.hw_ratio", "bench_case_hw_ratio",
            "geomean kernel throughput of the representative set per device",
            {benchlib::kSuiteExt, benchlib::kSuiteSmoke},
@@ -108,5 +109,3 @@ CODESIGN_BENCH_CASES(case_hw_ratio) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

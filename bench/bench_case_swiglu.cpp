@@ -78,8 +78,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(case_swiglu) {
+CODESIGN_BENCH(case_swiglu) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"case.swiglu_dff", "bench_case_swiglu",
            "brute-force d_ff scan around (8/3)h on Llama-2-7B",
            {benchlib::kSuiteExt},
@@ -98,5 +99,3 @@ CODESIGN_BENCH_CASES(case_swiglu) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -1,19 +1,20 @@
-// bench_cases.hpp — the roster of per-binary case registration hooks.
+// bench_cases.hpp — the roster of bench source registration hooks.
 //
-// Every bench_*.cpp defines one CODESIGN_BENCH_CASES(id) function; this
-// header declares them all and register_all_cases() calls each exactly
-// once. The roster is explicit (no static-initializer registration) so
-// the case set is deterministic, link-order independent, and survives
-// static-library dead-stripping. Adding a bench = one CODESIGN_BENCH_CASES
-// block there plus one line in each list here.
+// Every bench_*.cpp defines one CODESIGN_BENCH(id) hook; bench_cases.cpp
+// lists them all once and register_all() calls each exactly once. The
+// roster is explicit (no static-initializer registration) so the figure
+// and case sets are deterministic, link-order independent, and survive
+// static-library dead-stripping. Adding a bench = one CODESIGN_BENCH hook
+// there plus one line in the roster.
 #pragma once
 
-#include "benchlib/registry.hpp"
+#include "bench_common.hpp"
 
 namespace codesign::bench {
 
-/// Populate `reg` with every case of every bench binary. Throws
-/// codesign::Error on duplicate case names (i.e. a roster bug).
-void register_all_cases(benchlib::BenchRegistry& reg);
+/// Populate `roster` with every figure and timing case of every bench
+/// source. Throws codesign::Error on a duplicate figure or case name
+/// (i.e. a roster bug).
+void register_all(Roster& roster);
 
 }  // namespace codesign::bench

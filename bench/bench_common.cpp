@@ -10,12 +10,13 @@ namespace codesign::bench {
 
 namespace {
 
-// Flags every bench binary accepts, independent of its BenchSpec.
+// Flags every figure accepts, independent of its BenchSpec.
 const char* const kStandardFlags[] = {"gpu", "policy", "format", "help"};
 
 std::string usage_text(const BenchSpec& spec) {
-  std::string name = spec.name.empty() ? "bench" : spec.name;
-  std::string out = "usage: " + name + " [--gpu=<id>] [--policy=auto|fixed]"
+  std::string out = "usage: codesign-bench figure " +
+                    (spec.name.empty() ? "<name>" : spec.name) +
+                    " [--gpu=<id>] [--policy=auto|fixed]"
                     " [--format=ascii|csv|markdown]";
   for (const auto& f : spec.flags) out += " [--" + f + "=<v>]";
   if (!spec.summary.empty()) out += "\n  " + spec.summary;
@@ -91,7 +92,7 @@ void BenchContext::emit(const TableWriter& table) const {
   table.write(std::cout, format_);
 }
 
-int run_bench(int argc, const char* const* argv, int (*body)(BenchContext&),
+int run_bench(int argc, const char* const* argv, FigureBody body,
               const BenchSpec& spec) {
   try {
     BenchContext ctx = BenchContext::from_args(argc, argv, spec);
@@ -100,6 +101,20 @@ int run_bench(int argc, const char* const* argv, int (*body)(BenchContext&),
     std::cerr << "bench error: " << e.what() << '\n';
     return exit_code_for_current_exception();
   }
+}
+
+void Roster::figure(const BenchSpec& spec, FigureBody body) {
+  if (find_figure(spec.name) != nullptr) {
+    throw Error("figure '" + spec.name + "' is registered twice");
+  }
+  figures.push_back({spec, body});
+}
+
+const Figure* Roster::find_figure(const std::string& name) const {
+  for (const Figure& f : figures) {
+    if (f.spec.name == name) return &f;
+  }
+  return nullptr;
 }
 
 }  // namespace codesign::bench

@@ -1,21 +1,22 @@
-// bench_common.hpp — shared harness for the per-figure bench binaries.
+// bench_common.hpp — shared harness for the paper-figure benches.
 //
-// Every binary in bench/ regenerates the rows/series of one figure or
-// table from the paper. Conventions:
+// Every bench/bench_*.cpp (but google-benchmark's bench_kernels_cpu)
+// regenerates the rows/series of one figure or table from the paper and
+// runs as `codesign-bench figure bench_<name>`. Conventions:
 //   * stdout carries the data (ASCII tables by default, --format=csv for
 //     machine-readable output); stderr carries logs.
 //   * --gpu=<id> selects the simulated device (default a100; the registry
 //     ids/aliases of gpuarch are accepted).
 //   * --policy=auto|fixed selects the tile-selection policy.
 //   * Unknown flags are rejected with the documented usage exit code 2
-//     (common/error.hpp); each binary declares its extra flags in a
+//     (common/error.hpp); each figure declares its extra flags in a
 //     BenchSpec so typos fail loudly instead of silently running the
 //     defaults.
-//   * Each binary prints a header naming the paper figure it reproduces.
+//   * Each figure prints a header naming the paper figure it reproduces.
 //
-// Beyond the standalone figure output, every bench registers named timing
-// cases with the benchlib registry (CODESIGN_BENCH_CASES below); the
-// `codesign-bench` runner lists/filters/times those cases and writes the
+// Each source has one registration hook (CODESIGN_BENCH below) that adds
+// its figure and its named timing cases to a Roster; `codesign-bench`
+// prints the figures and lists/filters/times the cases, writing the
 // machine-readable perf trajectory (docs/BENCHMARKS.md).
 #pragma once
 
@@ -31,12 +32,12 @@
 
 namespace codesign::bench {
 
-/// Identity + command-line contract of one bench binary. `flags` lists
+/// Identity + command-line contract of one figure. `flags` lists
 /// the extra --name flags the body reads beyond the standard
 /// gpu/policy/format trio; anything else on the command line is a
 /// UsageError (exit 2).
 struct BenchSpec {
-  std::string name;                 ///< binary name, e.g. "fig05_gemm_sweep"
+  std::string name;                 ///< e.g. "bench_fig05_gemm_sweep"
   std::string summary;              ///< one line for the usage message
   std::vector<std::string> flags;   ///< extra accepted flag names
   std::string default_gpu = "a100";
@@ -73,33 +74,40 @@ class BenchContext {
   TableFormat format_;
 };
 
-/// Standard main() wrapper: parses flags, catches codesign::Error with a
-/// clean message, and exits with the documented taxonomy of
-/// common/error.hpp (unknown flag -> 2, unknown GPU -> 5, ...).
-int run_bench(int argc, const char* const* argv,
-              int (*body)(BenchContext&), const BenchSpec& spec = {});
+using FigureBody = int (*)(BenchContext&);
+
+/// Runs one figure: parses flags (argv[0] is skipped), catches
+/// codesign::Error with a clean message, and exits with the documented
+/// taxonomy of common/error.hpp (unknown flag -> 2, unknown GPU -> 5, ...).
+int run_bench(int argc, const char* const* argv, FigureBody body,
+              const BenchSpec& spec = {});
+
+/// One paper figure: its command-line contract and the body printing it.
+struct Figure {
+  BenchSpec spec;
+  FigureBody body;
+};
+
+/// What the registration hooks fill: every figure (`codesign-bench
+/// figure`) and every timing case (`codesign-bench list|run`).
+struct Roster {
+  benchlib::BenchRegistry cases;
+  std::vector<Figure> figures;
+
+  void add(benchlib::BenchCase c) { cases.add(std::move(c)); }
+  /// Throws codesign::Error when a figure of that name is registered.
+  void figure(const BenchSpec& spec, FigureBody body);
+  /// Exact-name lookup; nullptr when absent.
+  const Figure* find_figure(const std::string& name) const;
+};
 
 }  // namespace codesign::bench
 
-/// Defines this binary's registration hook: a uniquely named extern
-/// function the codesign-bench runner collects via
-/// bench/bench_cases.{hpp,cpp}. Use at namespace scope:
-///   CODESIGN_BENCH_CASES(fig05_gemm_sweep) { reg.add({...}); }
-#define CODESIGN_BENCH_CASES(id) \
-  void codesign_bench_register_##id(::codesign::benchlib::BenchRegistry& reg)
-
-/// Expands to the standalone main() — elided when the same source file is
-/// compiled into the codesign_bench_cases library for the runner.
-#if defined(CODESIGN_BENCH_NO_MAIN)
-// Keep spec/body referenced so the cases build stays warning-clean.
-#define CODESIGN_BENCH_MAIN(spec, body)                              \
-  [[maybe_unused]] static int codesign_bench_standalone_(            \
-      int argc, char** argv) {                                       \
-    return ::codesign::bench::run_bench(argc, argv, (body), (spec)); \
-  }
-#else
-#define CODESIGN_BENCH_MAIN(spec, body)                          \
-  int main(int argc, char** argv) {                              \
-    return ::codesign::bench::run_bench(argc, argv, (body), (spec)); \
-  }
-#endif
+/// Defines a bench source's registration hook: a uniquely named extern
+/// function that bench/bench_cases.cpp calls. Use at namespace scope:
+///   CODESIGN_BENCH(fig05_gemm_sweep) {
+///     reg.figure(kSpec, body);
+///     reg.add({...});
+///   }
+#define CODESIGN_BENCH(id) \
+  void codesign_bench_register_##id(::codesign::bench::Roster& reg)

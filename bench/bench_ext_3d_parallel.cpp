@@ -67,8 +67,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_3d_parallel) {
+CODESIGN_BENCH(ext_3d_parallel) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"ext.plan_ranking", "bench_ext_3d_parallel",
            "3D-parallel plan ranking on both Table-III clusters",
            {benchlib::kSuiteExt},
@@ -88,5 +89,3 @@ CODESIGN_BENCH_CASES(ext_3d_parallel) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

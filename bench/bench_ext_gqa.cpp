@@ -54,8 +54,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_gqa) {
+CODESIGN_BENCH(ext_gqa) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"ext.gqa_kv_sweep", "bench_ext_gqa",
            "QKV shape + inference estimates across KV head counts",
            {benchlib::kSuiteExt},
@@ -72,5 +73,3 @@ CODESIGN_BENCH_CASES(ext_gqa) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

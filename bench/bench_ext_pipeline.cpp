@@ -63,8 +63,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_pipeline) {
+CODESIGN_BENCH(ext_pipeline) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"ext.pipeline_stages", "bench_ext_pipeline",
            "1F1B analysis over p = 1..16 for gpt3-2.7b",
            {benchlib::kSuiteExt, benchlib::kSuiteSmoke},
@@ -80,5 +81,3 @@ CODESIGN_BENCH_CASES(ext_pipeline) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

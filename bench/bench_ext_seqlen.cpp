@@ -74,8 +74,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_seqlen) {
+CODESIGN_BENCH(ext_seqlen) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"ext.seqlen_scaling", "bench_ext_seqlen",
            "layer analysis over s with BMM and flash attention",
            {benchlib::kSuiteExt},
@@ -94,5 +95,3 @@ CODESIGN_BENCH_CASES(ext_seqlen) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

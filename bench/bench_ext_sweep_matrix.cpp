@@ -1,6 +1,6 @@
 // Extension — the scenario matrix engine (docs/SWEEP.md): a small
 // workload x hardware sweep run end-to-end through the SweepDriver, both
-// as a standalone cross-hardware ranking table and as the timed
+// as the figure's cross-hardware ranking table and as the timed
 // `sweep.matrix_small` case guarding the matrix-planning + grid-search
 // hot path in the smoke/perf suites. Two perf-only rungs time the big
 // stages alone: `sweep.run_matrix` runs a fixed 2012-variant matrix on 4
@@ -130,8 +130,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_sweep_matrix) {
+CODESIGN_BENCH(ext_sweep_matrix) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"sweep.matrix_small", "bench_ext_sweep_matrix",
            "4-cell scenario matrix end-to-end through the SweepDriver",
            {benchlib::kSuitePerf, benchlib::kSuiteSmoke},
@@ -170,5 +171,3 @@ CODESIGN_BENCH_CASES(ext_sweep_matrix) {
                                                         /*compact=*/true));
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

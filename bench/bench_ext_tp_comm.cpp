@@ -58,8 +58,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_tp_comm) {
+CODESIGN_BENCH(ext_tp_comm) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"ext.tp_comm", "bench_ext_tp_comm",
            "TP compute + all-reduce time across clusters and degrees",
            {benchlib::kSuiteExt},
@@ -83,5 +84,3 @@ CODESIGN_BENCH_CASES(ext_tp_comm) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -79,8 +79,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_training_step) {
+CODESIGN_BENCH(ext_training_step) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"ext.training_step", "bench_ext_training_step",
            "backward GEMMs + training-step analysis of the Fig-1 trio",
            {benchlib::kSuiteExt, benchlib::kSuiteSmoke},
@@ -98,5 +99,3 @@ CODESIGN_BENCH_CASES(ext_training_step) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

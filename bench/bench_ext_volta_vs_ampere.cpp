@@ -57,8 +57,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(ext_volta_vs_ampere) {
+CODESIGN_BENCH(ext_volta_vs_ampere) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"ext.volta_vs_ampere", "bench_ext_volta_vs_ampere",
            "the 2.7B trio analyzed on V100 and A100",
            {benchlib::kSuiteExt},
@@ -75,5 +76,3 @@ CODESIGN_BENCH_CASES(ext_volta_vs_ampere) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -61,8 +61,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig01_layer_family) {
+CODESIGN_BENCH(fig01_layer_family) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig01.layer_family", "bench_fig01_layer_family",
            "analyze_layer over the 2.7B shape family + the 6.7B point",
            {benchlib::kSuiteFig, benchlib::kSuiteSmoke},
@@ -78,5 +79,3 @@ CODESIGN_BENCH_CASES(fig01_layer_family) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

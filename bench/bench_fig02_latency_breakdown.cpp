@@ -67,8 +67,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig02_latency_breakdown) {
+CODESIGN_BENCH(fig02_latency_breakdown) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig02.gemm_share", "bench_fig02_latency_breakdown",
            "per-component latency and GEMM share across model sizes",
            {benchlib::kSuiteFig},
@@ -84,5 +85,3 @@ CODESIGN_BENCH_CASES(fig02_latency_breakdown) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -74,8 +74,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig05_gemm_sweep) {
+CODESIGN_BENCH(fig05_gemm_sweep) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig05.square_sweep", "bench_fig05_gemm_sweep",
            "broad square GEMM sweep on V100 and A100",
            {benchlib::kSuiteFig, benchlib::kSuiteSmoke},
@@ -100,5 +101,3 @@ CODESIGN_BENCH_CASES(fig05_gemm_sweep) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -70,8 +70,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig06_bmm_sweep) {
+CODESIGN_BENCH(fig06_bmm_sweep) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig06.bmm_sweep", "bench_fig06_bmm_sweep",
            "score and attention-over-value BMMs over h for a in {16,32,64}",
            {benchlib::kSuiteFig},
@@ -88,5 +89,3 @@ CODESIGN_BENCH_CASES(fig06_bmm_sweep) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -73,8 +73,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig07_attention_alignment) {
+CODESIGN_BENCH(fig07_attention_alignment) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig07.alignment", "bench_fig07_attention_alignment",
            "score + AOV BMM estimates across head_dim at a = 32",
            {benchlib::kSuiteFig},
@@ -89,5 +90,3 @@ CODESIGN_BENCH_CASES(fig07_attention_alignment) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

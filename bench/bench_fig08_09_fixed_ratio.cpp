@@ -61,8 +61,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig08_09_fixed_ratio) {
+CODESIGN_BENCH(fig08_09_fixed_ratio) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig08_09.fixed_ratio", "bench_fig08_09_fixed_ratio",
            "score + AOV BMMs at h/a = 64 across head counts",
            {benchlib::kSuiteFig, benchlib::kSuiteSmoke},
@@ -84,5 +85,3 @@ CODESIGN_BENCH_CASES(fig08_09_fixed_ratio) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -73,8 +73,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig10_mlp) {
+CODESIGN_BENCH(fig10_mlp) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig10.mlp_sweep", "bench_fig10_mlp",
            "MLP up/down GEMM estimates over the hidden-size sweep",
            {benchlib::kSuiteFig, benchlib::kSuiteSmoke},
@@ -93,5 +94,3 @@ CODESIGN_BENCH_CASES(fig10_mlp) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -44,8 +44,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig11_gemm_proportions) {
+CODESIGN_BENCH(fig11_gemm_proportions) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig11.gemm_proportions", "bench_fig11_gemm_proportions",
            "per-GEMM-module latency share across model sizes",
            {benchlib::kSuiteFig},
@@ -65,5 +66,3 @@ CODESIGN_BENCH_CASES(fig11_gemm_proportions) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -70,8 +70,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig12_flashattention) {
+CODESIGN_BENCH(fig12_flashattention) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig12.flash_sweep", "bench_fig12_flashattention",
            "fused flash vs unfused attention estimates over head_dim",
            {benchlib::kSuiteFig},
@@ -97,5 +98,3 @@ CODESIGN_BENCH_CASES(fig12_flashattention) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -63,8 +63,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig13_inference) {
+CODESIGN_BENCH(fig13_inference) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig13.pythia_inference", "bench_fig13_inference",
            "inference estimates + power-law fit over the Pythia suite",
            {benchlib::kSuiteFig, benchlib::kSuiteSmoke},
@@ -88,5 +89,3 @@ CODESIGN_BENCH_CASES(fig13_inference) {
              c.consume(fit.r2);
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

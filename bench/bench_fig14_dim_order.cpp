@@ -54,8 +54,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig14_dim_order) {
+CODESIGN_BENCH(fig14_dim_order) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig14.dim_order", "bench_fig14_dim_order",
            "3-D vs folded 2-D GEMM estimates plus the CPU-substrate check",
            {benchlib::kSuiteFig},
@@ -79,5 +80,3 @@ CODESIGN_BENCH_CASES(fig14_dim_order) {
            },
            /*threshold_frac=*/0.25});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -75,8 +75,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig15_16_qkv) {
+CODESIGN_BENCH(fig15_16_qkv) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig15_16.qkv", "bench_fig15_16_qkv",
            "QKV GEMM estimates vs h and tensor-parallel degree",
            {benchlib::kSuiteFig},
@@ -96,5 +97,3 @@ CODESIGN_BENCH_CASES(fig15_16_qkv) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -51,8 +51,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig17_18_attention_appendix) {
+CODESIGN_BENCH(fig17_18_attention_appendix) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig17_18.appendix_attention", "bench_fig17_18_attention_appendix",
            "score + AOV BMM estimates vs h at a = 128",
            {benchlib::kSuiteFig},
@@ -74,5 +75,3 @@ CODESIGN_BENCH_CASES(fig17_18_attention_appendix) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

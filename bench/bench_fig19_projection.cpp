@@ -52,8 +52,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig19_projection) {
+CODESIGN_BENCH(fig19_projection) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig19.projection", "bench_fig19_projection",
            "post-attention projection GEMM estimates vs h and t",
            {benchlib::kSuiteFig},
@@ -78,5 +79,3 @@ CODESIGN_BENCH_CASES(fig19_projection) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -76,8 +76,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig20_vocab) {
+CODESIGN_BENCH(fig20_vocab) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig20.vocab", "bench_fig20_vocab",
            "logit GEMM estimates over vocab and hidden sweeps",
            {benchlib::kSuiteFig, benchlib::kSuiteSmoke},
@@ -93,5 +94,3 @@ CODESIGN_BENCH_CASES(fig20_vocab) {
              c.consume(c.sim().throughput_tflops(logit(bs, 50304, 2560)));
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -82,8 +82,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(fig21_47_head_sweep) {
+CODESIGN_BENCH(fig21_47_head_sweep) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"fig21_47.head_sweep", "bench_fig21_47_head_sweep",
            "the full per-head-count appendix grid (both attention BMMs)",
            {benchlib::kSuiteFig},
@@ -109,5 +110,3 @@ CODESIGN_BENCH_CASES(fig21_47_head_sweep) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

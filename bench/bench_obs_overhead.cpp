@@ -170,8 +170,9 @@ int body(bench::BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign
 
-CODESIGN_BENCH_CASES(obs_overhead) {
+CODESIGN_BENCH(obs_overhead) {
   using namespace codesign;
+  reg.figure(kSpec, body);
   reg.add({"obs.estimate_hot_loop", "bench_obs_overhead",
            "GemmSimulator::estimate() hot loop on the logit-shaped set",
            {benchlib::kSuitePerf, benchlib::kSuiteSmoke},
@@ -200,5 +201,3 @@ CODESIGN_BENCH_CASES(obs_overhead) {
            },
            /*threshold_frac=*/0.30});
 }
-
-CODESIGN_BENCH_MAIN(codesign::kSpec, codesign::body);

@@ -442,8 +442,9 @@ int body(BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign::bench
 
-CODESIGN_BENCH_CASES(search_parallel) {
+CODESIGN_BENCH(search_parallel) {
   using namespace codesign;
+  reg.figure(bench::kSpec, bench::body);
   reg.add({"search.joint_pipeline", "bench_search_parallel",
            "joint heads x hidden search on pythia-160m, cold + warm cache",
            {benchlib::kSuitePerf, benchlib::kSuiteSmoke},
@@ -504,5 +505,3 @@ CODESIGN_BENCH_CASES(search_parallel) {
              }
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::bench::kSpec, codesign::bench::body);

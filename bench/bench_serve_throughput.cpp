@@ -657,8 +657,9 @@ int body(BenchContext& ctx) {
 }  // namespace
 }  // namespace codesign::bench
 
-CODESIGN_BENCH_CASES(serve_throughput) {
+CODESIGN_BENCH(serve_throughput) {
   using namespace codesign;
+  reg.figure(bench::kSpec, bench::body);
   reg.add({"serve.request_roundtrip", "bench_serve_throughput",
            "in-process serve: 2 clients x estimate/explain mix, cold + warm "
            "shared cache",
@@ -786,5 +787,3 @@ CODESIGN_BENCH_CASES(serve_throughput) {
              server.join();
            }});
 }
-
-CODESIGN_BENCH_MAIN(codesign::bench::kSpec, codesign::bench::body);

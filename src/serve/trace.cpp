@@ -1,6 +1,7 @@
 #include "serve/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -188,6 +189,15 @@ SloSummary RequestTraceLog::slo_summary() const {
   return s;
 }
 
+namespace {
+
+/// Wall-clock µs at ns resolution: the clock's noise floor is far above
+/// that, so the digits past it are float dust ("3.8320000000003347").
+/// Applied at render time only; the records keep the raw doubles.
+double round_us(double us) { return std::round(us * 1000.0) / 1000.0; }
+
+}  // namespace
+
 std::string render_tail(const std::vector<RequestRecord>& records) {
   std::string out;
   json::Writer w(out);
@@ -199,14 +209,15 @@ std::string render_tail(const std::vector<RequestRecord>& records) {
     w.member("op", rec.op);
     w.member("status", rec.status);
     w.member("code", rec.code);
-    w.member("start_us", rec.start_us);
-    w.member("total_us", rec.total_us);
+    w.member("start_us", round_us(rec.start_us));
+    w.member("total_us", round_us(rec.total_us));
     w.key("phases").begin_object();
     for (std::size_t p = 0; p < kNumPhases; ++p) {
-      w.member(phase_name(static_cast<Phase>(p)), rec.phase_us[p]);
+      w.member(phase_name(static_cast<Phase>(p)),
+               round_us(rec.phase_us[p]));
     }
     w.end_object();
-    w.member("phase_sum_us", rec.phase_sum_us());
+    w.member("phase_sum_us", round_us(rec.phase_sum_us()));
     w.member("estimates", static_cast<unsigned long long>(rec.estimates));
     w.member("search_candidates",
              static_cast<unsigned long long>(rec.search_candidates));

@@ -215,7 +215,8 @@ class RequestTraceLog {
 /// Serialize `records` as the `tail` payload: a JSON array (newest first)
 /// of per-request objects with phase breakdowns, one line. Rendered through
 /// json::Writer (the shared emitter), so the wire format is stable and
-/// documented in docs/SERVING.md.
+/// documented in docs/SERVING.md. Wall-clock µs fields (start_us,
+/// total_us, each phase, phase_sum_us) are rounded to 3 decimals.
 std::string render_tail(const std::vector<RequestRecord>& records);
 
 }  // namespace codesign::serve

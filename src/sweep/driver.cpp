@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
@@ -55,8 +56,20 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
     pool = std::make_unique<ThreadPool>(options.threads);
   }
 
+  // One simulator per GPU for the whole matrix: every workload on a GPU
+  // shares its prepared catalogue (and the cache, attached once).
+  std::vector<gemm::GemmSimulator> sims;
+  sims.reserve(plan.gpus.size());
+  for (const std::string& gpu : plan.gpus) {
+    gemm::GemmSimulator& sim =
+        sims.emplace_back(gpu::gpu_by_name(gpu), options.policy);
+    if (options.cache != nullptr) sim.set_cache(options.cache);
+  }
+
   for (const WorkloadSpec& wl : plan.workloads) {
-    for (const std::string& gpu : plan.gpus) {
+    for (std::size_t g = 0; g < plan.gpus.size(); ++g) {
+      const std::string& gpu = plan.gpus[g];
+      const gemm::GemmSimulator& sim = sims[g];
       if (options.cancel != nullptr && options.cancel->cancelled()) {
         result.truncated = true;
         result.cancel_reason = options.cancel->reason();
@@ -64,9 +77,6 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
       }
       const std::string cell_key = wl.name + "@" + gpu;
       CODESIGN_FAILPOINT_T("sweep.cell", fail::token(cell_key));
-
-      gemm::GemmSimulator sim(gpu::gpu_by_name(gpu), options.policy);
-      if (options.cache != nullptr) sim.set_cache(options.cache);
 
       // Variant i of the workload is grid candidate i: the configs are
       // read in place, and the cell-unique names are only built for

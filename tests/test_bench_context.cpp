@@ -1,11 +1,16 @@
-// Tests for bench/bench_common.hpp — the shared harness every figure
-// binary is built on (flag parsing, unknown-flag rejection, banner/
-// section/table emission, exit-code taxonomy).
+// Tests for bench/bench_common.hpp — the shared harness every figure is
+// built on (flag parsing, unknown-flag rejection, banner/section/table
+// emission, exit-code taxonomy) — and for the bench_cases.cpp roster that
+// `codesign-bench` runs figures and cases from.
 #include "bench_common.hpp"
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
+
+#include "bench_cases.hpp"
 
 #include "common/error.hpp"
 
@@ -115,6 +120,69 @@ TEST(RunBench, BodyReturnCodePropagates) {
   const char* argv[] = {"bench"};
   EXPECT_EQ(run_bench(1, argv, [](BenchContext&) { return 0; }), 0);
   EXPECT_EQ(run_bench(1, argv, [](BenchContext&) { return 7; }), 7);
+}
+
+TEST(Roster, DuplicateFigureIsAnError) {
+  Roster roster;
+  BenchSpec spec;
+  spec.name = "bench_x";
+  const FigureBody body = [](BenchContext&) { return 0; };
+  roster.figure(spec, body);
+  EXPECT_THROW(roster.figure(spec, body), Error);
+  ASSERT_NE(roster.find_figure("bench_x"), nullptr);
+  EXPECT_EQ(roster.find_figure("bench_y"), nullptr);
+}
+
+TEST(Roster, EveryBenchSourceRegistersOneFigure) {
+  Roster roster;
+  register_all(roster);  // throws on a duplicate figure or case name
+  ASSERT_FALSE(roster.figures.empty());
+  std::set<std::string> names;
+  for (const Figure& f : roster.figures) {
+    EXPECT_TRUE(names.insert(f.spec.name).second)
+        << f.spec.name << " registered twice";
+    EXPECT_EQ(f.spec.name.rfind("bench_", 0), 0u) << f.spec.name;
+    EXPECT_NE(f.body, nullptr) << f.spec.name;
+  }
+}
+
+TEST(Roster, EveryCaseNamesARegisteredFigure) {
+  Roster roster;
+  register_all(roster);
+  std::set<std::string> with_cases;
+  for (const benchlib::BenchCase& c : roster.cases.cases()) {
+    EXPECT_NE(roster.find_figure(c.bench), nullptr)
+        << "case " << c.name << " names unknown figure " << c.bench;
+    with_cases.insert(c.bench);
+  }
+  for (const Figure& f : roster.figures) {
+    EXPECT_TRUE(with_cases.count(f.spec.name))
+        << f.spec.name << " registers no timing case";
+  }
+}
+
+TEST(Roster, EveryFigureKeepsTheExitCodeContract) {
+  // What each figure's own main() used to guarantee: an undeclared flag is
+  // a usage error (2) and an unknown GPU a lookup error (5), both raised
+  // before the body runs.
+  Roster roster;
+  register_all(roster);
+  for (const Figure& f : roster.figures) {
+    const std::string name = f.spec.name;
+    const char* undeclared[] = {name.c_str(), "--no-such-flag=1"};
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_bench(2, undeclared, f.body, f.spec), kExitUsage) << name;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                  "usage: codesign-bench figure " + name),
+              std::string::npos)
+        << name;
+    const char* bad_gpu[] = {name.c_str(), "--gpu=bogus"};
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_bench(2, bad_gpu, f.body, f.spec), kExitLookup) << name;
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find("unknown GPU"),
+              std::string::npos)
+        << name;
+  }
 }
 
 }  // namespace

@@ -238,6 +238,29 @@ TEST_F(ServeTraceTest, TailReturnsInjectedFailureWithErrorPhase) {
   shut_down(server);
 }
 
+TEST_F(ServeTraceTest, TailRoundsWallClockMicrosecondsToThreeDecimals) {
+  serve::RequestRecord rec;
+  rec.seq = 7;
+  rec.op = "advise";
+  rec.status = "ok";
+  rec.start_us = 182034.2000000001;
+  rec.total_us = 512.80049;
+  rec.phase_us = {18.1004, 3.8320000000003347, 401.3004, 9.6004, 21.4004};
+  const std::string out = serve::render_tail({rec});
+  EXPECT_NE(out.find("\"start_us\":182034.2,"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"total_us\":512.8,"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"queue_wait\":3.832,"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"render\":9.6,"), std::string::npos) << out;
+  // The sum is rounded once from the raw phases, not summed from the
+  // rounded ones.
+  EXPECT_NE(out.find("\"phase_sum_us\":454.234,"), std::string::npos) << out;
+  // Only the rendering rounds: the record keeps its raw doubles.
+  EXPECT_EQ(rec.phase_us[1], 3.8320000000003347);
+  const json::Value parsed = json::Value::parse(out);
+  EXPECT_EQ(parsed.as_array().at(0).at("phases").at("queue_wait").as_number(),
+            3.832);
+}
+
 TEST_F(ServeTraceTest, TailValidatesItsArguments) {
   serve::Server server(options(1));
   server.start();

@@ -1,6 +1,8 @@
-// codesign-bench — the single entry point of the continuous benchmark
-// harness (docs/BENCHMARKS.md).
+// codesign-bench — the single entry point of the paper figures and the
+// continuous benchmark harness (docs/BENCHMARKS.md).
 //
+//   codesign-bench figure  [<name> [--gpu=ID] [--policy=auto|fixed]
+//                          [--format=F] [that figure's own flags]]
 //   codesign-bench list    [--suite=S] [--filter=SUB]
 //   codesign-bench run     [--suite=S] [--filter=SUB] [--gpu=ID]
 //                          [--policy=auto|fixed] [--warmup=N] [--repeats=N]
@@ -8,14 +10,17 @@
 //   codesign-bench compare <baseline.json> <candidate.json>
 //                          [--min-frac=F] [--mad-factor=F] [--no-data-check]
 //
-// `run` times every selected case (warmup + repeats, median/MAD/p95) and
-// writes a schema-versioned BENCH_<suite>.json; `compare` gates a
-// candidate report against a baseline with noise-aware thresholds and
-// exits nonzero on a regression, checksum mismatch, or missing case.
+// `figure` prints one paper figure's data (with no name, it lists the
+// figures); `run` times every selected case (warmup + repeats,
+// median/MAD/p95) and writes a schema-versioned BENCH_<suite>.json;
+// `compare` gates a candidate report against a baseline with noise-aware
+// thresholds and exits nonzero on a regression, checksum mismatch, or
+// missing case.
 #include <algorithm>
 #include <iostream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_cases.hpp"
@@ -33,6 +38,9 @@ constexpr const char* kUsage =
     "usage: codesign-bench <command> [flags]\n"
     "\n"
     "commands:\n"
+    "  figure [<name> [flags]]  print one paper figure (no name: list them);\n"
+    "                           flags: --gpu, --policy, --format and the\n"
+    "                           figure's own (figure <name> --help)\n"
     "  list                     list registered cases\n"
     "  run                      time the selected cases, write a report\n"
     "  compare <base> <cand>    gate candidate report against baseline\n"
@@ -55,7 +63,7 @@ constexpr const char* kUsage =
     "  --no-data-check skip checksum gating (timing-only compare)\n";
 
 /// Flags a subcommand accepts; anything else on the command line is a
-/// usage error (same contract as the bench binaries' BenchSpec).
+/// usage error (same contract as a figure's BenchSpec).
 void reject_unknown_flags(const CliArgs& args,
                           const std::vector<std::string>& allowed) {
   std::vector<std::string> unknown;
@@ -69,10 +77,36 @@ void reject_unknown_flags(const CliArgs& args,
                    kUsage);
 }
 
+/// argv[0] is "figure"; argv[1], when present, names the figure and the
+/// rest are its flags, parsed exactly as the figure's BenchSpec declares.
+int cmd_figure(int argc, const char* const* argv) {
+  bench::Roster roster;
+  bench::register_all(roster);
+  if (argc < 2) {
+    for (const bench::Figure& f : roster.figures) {
+      std::cout << f.spec.name << "\n";
+    }
+    return kExitOk;
+  }
+  const std::string name = argv[1];
+  if (name.starts_with("--")) {
+    throw UsageError(
+        "usage: codesign-bench figure <name> [flags] (`codesign-bench "
+        "figure` lists the names)");
+  }
+  const bench::Figure* figure = roster.find_figure(name);
+  if (figure == nullptr) {
+    throw LookupError("unknown figure '" + name +
+                      "' (`codesign-bench figure` lists them)");
+  }
+  return bench::run_bench(argc - 1, argv + 1, figure->body, figure->spec);
+}
+
 int cmd_list(const CliArgs& args) {
   reject_unknown_flags(args, {"suite", "filter", "format"});
-  benchlib::BenchRegistry reg;
-  bench::register_all_cases(reg);
+  bench::Roster roster;
+  bench::register_all(roster);
+  const benchlib::BenchRegistry& reg = roster.cases;
   const auto selected = reg.select(args.get_string("suite", ""),
                                    args.get_string("filter", ""));
   TableWriter t({"case", "bench", "suites", "description"});
@@ -108,9 +142,9 @@ int cmd_run(const CliArgs& args) {
       "BENCH_" + (opt.suite.empty() ? std::string("all") : opt.suite) +
           ".json");
 
-  benchlib::BenchRegistry reg;
-  bench::register_all_cases(reg);
-  const benchlib::BenchReport report = benchlib::run_suite(reg, opt);
+  bench::Roster roster;
+  bench::register_all(roster);
+  const benchlib::BenchReport report = benchlib::run_suite(roster.cases, opt);
 
   TableWriter t({"case", "median ms", "mad ms", "p95 ms", "outliers",
                  "checksum", "stable"});
@@ -184,6 +218,11 @@ int cmd_compare(const CliArgs& args) {
 }
 
 int run(int argc, char** argv) {
+  // A figure owns its flags (--help included), so it is dispatched before
+  // the harness parses any.
+  if (argc >= 2 && std::string_view(argv[1]) == "figure") {
+    return cmd_figure(argc - 1, argv + 1);
+  }
   const CliArgs args = CliArgs::parse(argc, argv);
   if (args.positional().empty() || args.get_bool("help", false)) {
     std::cout << kUsage;
