@@ -3,7 +3,10 @@
 // Times GemmSimulator::estimate() in three instrumentation states:
 //   off       — metrics disabled, no recorder (the default); the guard is
 //               one relaxed atomic load, so this must match the seed's cost
-//   metrics   — MetricsRegistry enabled (counters on every estimate)
+//   metrics   — MetricsRegistry enabled (counters on every estimate), on
+//               one thread and — reported, not gated — on 4 threads at
+//               once, where a lock on the counting path would show as
+//               contention that the 1-thread row cannot see
 //   recorder  — metrics + an installed EventRecorder (selection trail
 //               events on every kernel selection)
 // plus the attribution state:
@@ -16,6 +19,7 @@
 // (--out=BENCH_obs.json) so the overhead trajectory is machine-readable.
 #include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -64,6 +68,25 @@ double ns_per_estimate(const gemm::GemmSimulator& sim,
   return ns / (static_cast<double>(iters) * problems.size());
 }
 
+/// ns_per_estimate on `threads` threads at once, all sharing `sim`: the
+/// mean of the threads' per-estimate wall times.
+double ns_per_estimate_concurrent(
+    const gemm::GemmSimulator& sim,
+    const std::vector<gemm::GemmProblem>& problems, int iters,
+    std::size_t threads) {
+  std::vector<double> ns(threads, 0.0);
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back(
+        [&, t] { ns[t] = ns_per_estimate(sim, problems, iters); });
+  }
+  for (std::thread& w : workers) w.join();
+  double sum = 0.0;
+  for (const double v : ns) sum += v;
+  return sum / static_cast<double>(threads);
+}
+
 /// The attribution hot loop: estimate, then decompose. The breakdown is a
 /// handful of divisions over fields the estimate already carries, so this
 /// must stay within 1.1x of the bare loop.
@@ -102,6 +125,8 @@ int body(bench::BenchContext& ctx) {
 
   obs::MetricsRegistry::set_enabled(true);
   const double metrics_ns = ns_per_estimate(ctx.sim(), problems, iters);
+  const double metrics_4t_ns =
+      ns_per_estimate_concurrent(ctx.sim(), problems, iters, 4);
 
   double recorder_ns = 0.0;
   {
@@ -121,6 +146,7 @@ int body(bench::BenchContext& ctx) {
   row("off", off_ns);
   row("off+breakdown", breakdown_ns);
   row("metrics", metrics_ns);
+  row("metrics, 4 threads", metrics_4t_ns);
   row("metrics+recorder", recorder_ns);
   ctx.emit(t);
 
@@ -144,6 +170,8 @@ int body(bench::BenchContext& ctx) {
   report.context["bench"] = "obs_overhead";
   report.context["overhead_metrics_vs_off"] =
       str_format("%.3f", metrics_ns / off_ns);
+  report.context["overhead_metrics_4threads_vs_off"] =
+      str_format("%.3f", metrics_4t_ns / off_ns);
   report.context["overhead_recorder_vs_off"] =
       str_format("%.3f", recorder_ns / off_ns);
   report.context["overhead_breakdown_vs_off"] =
@@ -161,6 +189,7 @@ int body(bench::BenchContext& ctx) {
   add_case("obs.estimate_off", off_ns);
   add_case("obs.estimate_breakdown", breakdown_ns);
   add_case("obs.estimate_metrics", metrics_ns);
+  add_case("obs.estimate_metrics_4threads", metrics_4t_ns);
   add_case("obs.estimate_metrics_recorder", recorder_ns);
   report.write_file(out_path);
   std::cout << "wrote " << out_path << "\n";

@@ -71,103 +71,6 @@ void EstimateCache::insert(const Key& key, const KernelEstimate& estimate) {
   insert_locked(shard, key, estimate);
 }
 
-template <typename OnHit>
-std::size_t EstimateCache::probe_many(std::span<const Key> keys,
-                                      std::uint8_t* hit, BatchScratch& scratch,
-                                      OnHit&& on_hit) {
-  const std::size_t n = keys.size();
-  // Fire the lookup failpoint per key in input order, the exact sequence N
-  // scalar lookup calls would produce. prob:P:seed triggers hash
-  // the token so their fire set is order-independent anyway, but keeping
-  // the order makes once:/every: drills line up too.
-  for (std::size_t i = 0; i < n; ++i) {
-    CODESIGN_FAILPOINT_T("gemmsim.cache.lookup", keys[i].failpoint_token());
-  }
-  const std::size_t num_shards = shards_.size();
-  scratch.order.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.order[i] = static_cast<std::uint32_t>(i);
-  }
-  // Stable sort by shard: each stripe lock is taken at most once per call,
-  // and within a shard the LRU touch order still follows input order.
-  std::stable_sort(scratch.order.begin(), scratch.order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return keys[a].hash_value() % num_shards <
-                            keys[b].hash_value() % num_shards;
-                   });
-  std::size_t total_hits = 0;
-  std::size_t pos = 0;
-  while (pos < n) {
-    const std::size_t shard_id =
-        keys[scratch.order[pos]].hash_value() % num_shards;
-    Shard& shard = *shards_[shard_id];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (; pos < n &&
-           keys[scratch.order[pos]].hash_value() % num_shards == shard_id;
-         ++pos) {
-      const std::uint32_t i = scratch.order[pos];
-      const KernelEstimate* found = probe_locked(shard, keys[i]);
-      hit[i] = found != nullptr ? 1 : 0;
-      if (found == nullptr) continue;
-      on_hit(i, *found);
-      ++total_hits;
-    }
-  }
-  return total_hits;
-}
-
-std::size_t EstimateCache::lookup_many(std::span<const Key> keys,
-                                       KernelEstimate* out, std::uint8_t* hit,
-                                       BatchScratch& scratch) {
-  return probe_many(keys, hit, scratch,
-                    [out](std::uint32_t i, const KernelEstimate& e) {
-                      out[i] = e;
-                    });
-}
-
-std::size_t EstimateCache::lookup_times_many(std::span<const Key> keys,
-                                             double* out, std::uint8_t* hit,
-                                             BatchScratch& scratch) {
-  return probe_many(keys, hit, scratch,
-                    [out](std::uint32_t i, const KernelEstimate& e) {
-                      out[i] = e.time;
-                    });
-}
-
-void EstimateCache::insert_many(std::span<const Key> keys,
-                                std::span<const KernelEstimate> estimates,
-                                const std::uint8_t* miss,
-                                BatchScratch& scratch) {
-  CODESIGN_CHECK(keys.size() == estimates.size(),
-                 "insert_many: keys/estimates size mismatch");
-  const std::size_t num_shards = shards_.size();
-  scratch.order.clear();
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (miss == nullptr || miss[i] != 0) {
-      scratch.order.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  std::stable_sort(scratch.order.begin(), scratch.order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return keys[a].hash_value() % num_shards <
-                            keys[b].hash_value() % num_shards;
-                   });
-  std::size_t pos = 0;
-  const std::size_t m = scratch.order.size();
-  while (pos < m) {
-    const std::size_t shard_id =
-        keys[scratch.order[pos]].hash_value() % num_shards;
-    Shard& shard = *shards_[shard_id];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (; pos < m &&
-           keys[scratch.order[pos]].hash_value() % num_shards == shard_id;
-         ++pos) {
-      const std::uint32_t i = scratch.order[pos];
-      insert_locked(shard, keys[i], estimates[i]);
-    }
-  }
-}
-
 void EstimateCache::insert_locked(Shard& shard, const Key& key,
                                   const KernelEstimate& estimate) {
   // Leave already-present keys untouched: a concurrent miss computed the

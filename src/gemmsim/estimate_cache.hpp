@@ -21,13 +21,15 @@
 // Thread safety: shards are independently mutex-protected, so concurrent
 // lookups of different shapes stripe across locks. A racing miss on the
 // same key computes twice and stores one copy — harmless, still exact.
+// Every caller (scalar estimate() and batched estimate_times() alike)
+// probes one key at a time; grouping a batch's probes by shard measured no
+// faster on the search grids.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -46,8 +48,10 @@ enum class TilePolicy;  // defined in prepared_catalogue.hpp
 struct CacheOptions {
   /// Maximum number of cached estimates across all shards.
   std::size_t capacity = 1 << 16;
-  /// Number of independent mutex-striped shards (min 1).
-  std::size_t shards = 8;
+  /// Number of independent mutex-striped shards (min 1). Every probe locks
+  /// one shard and a search's hot GEMMs are few, so threads collide unless
+  /// the shards outnumber them well (docs/search_pipeline.md).
+  std::size_t shards = 64;
 };
 
 /// Aggregate counters across all shards (monotonic except entries).
@@ -89,42 +93,13 @@ class EstimateCache {
 
   /// Probe one key: on a hit copy the estimate into `*out` (when non-null)
   /// and return true. Fires the gemmsim.cache.lookup failpoint with the
-  /// key's failpoint_token() — the one-key form of lookup_many.
+  /// key's failpoint_token(), so a batch of lookups fires it once per key,
+  /// in input order.
   bool lookup(const Key& key, KernelEstimate* out);
   /// Store one estimate (evicting the shard's least-recently-used entry
   /// when full). A key already present is left untouched: a racing miss
-  /// computed the same bits — the one-key form of insert_many.
+  /// computed the same bits.
   void insert(const Key& key, const KernelEstimate& estimate);
-
-  /// Reusable index scratch for the batch API: callers keep one per worker
-  /// and pass it to every lookup_many/insert_many call so the batch path
-  /// allocates nothing in steady state.
-  struct BatchScratch {
-    std::vector<std::uint32_t> order;  ///< key indices sorted by shard
-  };
-
-  /// Batched probe: for each key, set `hit[i]` and (on a hit) copy the
-  /// estimate into `out[i]`. Returns the hit count. Probes are grouped by
-  /// shard so each stripe lock is taken at most once per call instead of
-  /// once per key; within a shard, LRU touch order follows input order.
-  /// Fires the gemmsim.cache.lookup failpoint per key in input order —
-  /// exactly the sequence N scalar lookup calls would fire.
-  std::size_t lookup_many(std::span<const Key> keys, KernelEstimate* out,
-                          std::uint8_t* hit, BatchScratch& scratch);
-
-  /// Times-only twin of lookup_many: copies just `.time` into `out[i]`,
-  /// skipping the ~250-byte KernelEstimate copy per hit. Identical hit/miss
-  /// accounting, LRU behavior, and failpoint sequence.
-  std::size_t lookup_times_many(std::span<const Key> keys, double* out,
-                                std::uint8_t* hit, BatchScratch& scratch);
-
-  /// Batched insert of the entries whose `miss[i]` is nonzero (pass the
-  /// `hit` array from lookup_many negated, or all-ones to insert
-  /// everything). Grouped by shard like lookup_many; keys already present
-  /// are left untouched, as in insert.
-  void insert_many(std::span<const Key> keys,
-                   std::span<const KernelEstimate> estimates,
-                   const std::uint8_t* miss, BatchScratch& scratch);
 
   /// Drop every entry (counters keep accumulating).
   void clear();
@@ -170,13 +145,6 @@ class EstimateCache {
   /// Insert unless present, evicting the LRU entry when the shard is full.
   void insert_locked(Shard& shard, const Key& key,
                      const KernelEstimate& estimate);
-  /// Shared core of lookup_many/lookup_times_many; `on_hit(i, estimate)`
-  /// copies out whatever the caller wants. Defined in the .cpp — both
-  /// instantiations live there.
-  template <typename OnHit>
-  std::size_t probe_many(std::span<const Key> keys, std::uint8_t* hit,
-                         BatchScratch& scratch, OnHit&& on_hit);
-
   CacheOptions options_;
   std::size_t per_shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -78,8 +78,8 @@ struct BoundBreakdown {
 
 /// Derive the attribution from an already-computed estimate. A pure
 /// function of the KernelEstimate's stored fields — it re-runs no part of
-/// the model, so it costs nothing unless called, and estimate() and
-/// estimate_many() yield bit-identical breakdowns because their
+/// the model, so it costs nothing unless called, and every estimate()
+/// call yields bit-identical breakdowns, cached or not, because its
 /// KernelEstimates are already bit-identical.
 BoundBreakdown bound_breakdown(const KernelEstimate& estimate);
 

@@ -69,6 +69,21 @@ void record_trail(const GemmProblem& problem, const ProblemTerms& terms,
   }
 }
 
+// The counter series of the estimate path, resolved once per process.
+// Bound handles follow the Bound enumerators' order and bound_name().
+constinit obs::CounterHandle g_select_computed{
+    "gemmsim.select.computed", {}, obs::Stability::kBestEffort};
+constinit obs::CounterHandle g_select_candidates{
+    "gemmsim.select.candidates", {}, obs::Stability::kBestEffort};
+constinit obs::CounterHandle g_estimate_calls{"gemmsim.estimate.calls"};
+constinit obs::CounterHandle g_estimate_waves{"gemmsim.estimate.waves"};
+constinit obs::CounterHandle g_estimate_blocks{"gemmsim.estimate.blocks"};
+constinit obs::CounterHandle g_estimate_bound[] = {
+    obs::CounterHandle{"gemmsim.estimate.bound", "bound=compute"},
+    obs::CounterHandle{"gemmsim.estimate.bound", "bound=memory"},
+    obs::CounterHandle{"gemmsim.estimate.bound", "bound=launch"},
+};
+
 }  // namespace
 
 PreparedCatalogue::PreparedCatalogue(
@@ -77,6 +92,8 @@ PreparedCatalogue::PreparedCatalogue(
     : gpu_(&gpu), policy_(policy) {
   gpu.validate();
   CODESIGN_CHECK(!catalogue.empty(), "tile catalogue must not be empty");
+  CODESIGN_CHECK(catalogue.size() <= kMaxCatalogueTiles,
+                 "tile catalogue holds too many tiles");
   // kFixedLargest models the fixed-tile kernel of Fig 5b: the prepared
   // table degenerates to the single largest tile, so the same scan code
   // serves both policies.
@@ -101,26 +118,18 @@ PreparedCatalogue::PreparedCatalogue(
                                tile.blocks_per_sm);
     intrinsic_.push_back(tile.intrinsic_efficiency);
   }
+  tile_counters_ = std::vector<std::atomic<obs::Counter*>>(n);
 }
 
-std::size_t PreparedCatalogue::scan(const GemmProblem& problem,
-                                    double* best_time) const {
+Selection PreparedCatalogue::select(const GemmProblem& problem,
+                                     EstimateCounts* counts) const {
   const bool selecting = policy_ == TilePolicy::kAuto;
   if (selecting) {
     // The failpoint fires once per selection with the problem hash as its
     // token, so prob:P:seed drills skip the same candidates whichever
-    // entry point (scalar, batched, times-only) reached the scan.
+    // entry point (scalar or batched) reached the scan.
     CODESIGN_FAILPOINT_T("gemmsim.select_kernel", problem.hash_value());
-    if (obs::MetricsRegistry::enabled()) {
-      // kBestEffort: with a cache attached the scan only runs on misses,
-      // so the counts depend on hit patterns.
-      auto& reg = obs::MetricsRegistry::global();
-      reg.counter("gemmsim.select.computed", {}, obs::Stability::kBestEffort)
-          .add();
-      reg.counter("gemmsim.select.candidates", {},
-                  obs::Stability::kBestEffort)
-          .add(tile_count());
-    }
+    if (counts != nullptr) ++counts->scans;
   }
   problem.validate();
   const ProblemTerms terms = problem_terms(problem, *gpu_);
@@ -134,8 +143,7 @@ std::size_t PreparedCatalogue::scan(const GemmProblem& problem,
   // Flat-array reads, exact integer quantization (same formulas as
   // tile_quantization/wave_quantization), and the shared tile_timing()
   // core. Ties keep the earlier entry, the reference's min_element contract.
-  std::size_t best_index = 0;
-  double best = 0.0;
+  Selection best;
   const std::size_t n = tm_.size();
   for (std::size_t i = 0; i < n; ++i) {
     TileQuantization tile_q;
@@ -159,29 +167,91 @@ std::size_t PreparedCatalogue::scan(const GemmProblem& problem,
                                                tile_q.padded_k),
                        wave_efficiency, timing.bound});
     }
-    if (i == 0 || timing.time < best) {
-      best_index = i;
-      best = timing.time;
+    if (i == 0 || timing.time < best.time) {
+      best = {timing.time, static_cast<std::uint32_t>(i), timing.bound};
     }
   }
   if (recorder != nullptr) {
-    record_trail(problem, terms, trail, tiles_, best_index, *recorder);
+    record_trail(problem, terms, trail, tiles_, best.tile, *recorder);
   }
-  *best_time = best;
-  return best_index;
+  return best;
+}
+
+KernelEstimate PreparedCatalogue::estimate(const GemmProblem& problem,
+                                           const Selection& selection) const {
+  return estimate_with_tile(problem, tiles_[selection.tile], *gpu_);
 }
 
 KernelEstimate PreparedCatalogue::estimate_one(
     const GemmProblem& problem) const {
-  double best_time = 0.0;
-  const std::size_t best_index = scan(problem, &best_time);
-  return estimate_with_tile(problem, tiles_[best_index], *gpu_);
+  if (!obs::MetricsRegistry::enabled()) {
+    return estimate(problem, select(problem, nullptr));
+  }
+  EstimateCounts counts;
+  const KernelEstimate est = estimate(problem, select(problem, &counts));
+  flush(counts);
+  return est;
 }
 
-double PreparedCatalogue::time_one(const GemmProblem& problem) const {
-  double best_time = 0.0;
-  scan(problem, &best_time);
-  return best_time;
+Selection PreparedCatalogue::selection_of(
+    const KernelEstimate& estimate) const {
+  for (std::size_t i = 0; i < tiles_.size(); ++i) {
+    if (tm_[i] == estimate.tile.tm && tn_[i] == estimate.tile.tn &&
+        tk_[i] == estimate.tile.tk) {
+      return {estimate.time, static_cast<std::uint32_t>(i), estimate.bound};
+    }
+  }
+  throw Error("estimate's tile " + estimate.tile.name() +
+              " is not in the catalogue");
+}
+
+void PreparedCatalogue::count(const GemmProblem& problem,
+                              const Selection& selection,
+                              EstimateCounts& counts) const {
+  // The scan's quantization formulas, so these equal the estimate's
+  // tile_q.tiles_total and wave_q.waves.
+  const std::size_t i = selection.tile;
+  const std::int64_t blocks =
+      ceil_div(problem.m, tm_[i]) * ceil_div(problem.n, tn_[i]) * problem.batch;
+  ++counts.estimates;
+  counts.waves +=
+      static_cast<std::uint64_t>(ceil_div(blocks, blocks_per_wave_[i]));
+  counts.blocks += static_cast<std::uint64_t>(blocks);
+  ++counts.bounds[static_cast<std::size_t>(selection.bound)];
+  ++counts.tiles[i];
+}
+
+obs::Counter& PreparedCatalogue::tile_counter(std::size_t i) const {
+  obs::Counter* c = tile_counters_[i].load(std::memory_order_acquire);
+  if (c == nullptr) {
+    c = &obs::MetricsRegistry::global().counter("gemmsim.estimate.tile",
+                                                "tile=" + tiles_[i].name());
+    tile_counters_[i].store(c, std::memory_order_release);
+  }
+  return *c;
+}
+
+void PreparedCatalogue::flush(EstimateCounts& counts) const {
+  if (counts.scans != 0) {
+    // kBestEffort: with a cache or a warm memo the scan only runs on
+    // misses, so the counts depend on hit patterns.
+    g_select_computed.get().add(counts.scans);
+    g_select_candidates.get().add(counts.scans * tile_count());
+  }
+  if (counts.estimates != 0) {
+    g_estimate_calls.get().add(counts.estimates);
+    g_estimate_waves.get().add(counts.waves);
+    g_estimate_blocks.get().add(counts.blocks);
+    for (std::size_t b = 0; b < counts.bounds.size(); ++b) {
+      if (counts.bounds[b] != 0) {
+        g_estimate_bound[b].get().add(counts.bounds[b]);
+      }
+    }
+    for (std::size_t i = 0; i < tile_count(); ++i) {
+      if (counts.tiles[i] != 0) tile_counter(i).add(counts.tiles[i]);
+    }
+  }
+  counts = EstimateCounts{};
 }
 
 }  // namespace codesign::gemm

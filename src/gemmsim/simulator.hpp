@@ -34,6 +34,9 @@ class GemmSimulator {
   TilePolicy policy() const { return policy_; }
 
   /// Predicted execution of one (batched) GEMM under the active policy.
+  /// With a cache, one lookup (and an insert on a miss). With metrics on,
+  /// the gemmsim.estimate.* counters are added through series handles
+  /// resolved once — no registry lock and no string per call.
   KernelEstimate estimate(const GemmProblem& problem) const;
 
   /// Seconds for one GEMM (shortcut for estimate().time).
@@ -42,55 +45,36 @@ class GemmSimulator {
   /// TFLOP/s of useful work (the y-axis of all the paper's figures).
   double throughput_tflops(const GemmProblem& problem) const;
 
-  /// Reusable scratch for the batched entry points below. Keep one per
-  /// worker thread and pass it to every call — steady-state batch calls
-  /// then allocate nothing.
+  /// Reusable state for estimate_times. Keep one per worker thread and
+  /// pass it to every call — steady-state batch calls then allocate
+  /// nothing.
   struct BatchWorkspace {
-    std::vector<EstimateCache::Key> keys;
-    std::vector<std::uint8_t> hit;
-    std::vector<KernelEstimate> estimates;
-    EstimateCache::BatchScratch scratch;
-
-    /// The times this workspace already computed on the uncached
-    /// times-only path: an open-addressing table keyed by the full
-    /// GemmProblem (a free slot has m == 0). It belongs to the catalogue
-    /// that filled it and empties itself when handed to another
-    /// simulator. It holds successes only, and it stays unallocated until
-    /// the workspace's second batch, so a throwaway workspace never pays
-    /// for it.
+    /// What this workspace already selected on the uncached path: an
+    /// open-addressing table keyed by the full GemmProblem (a free slot has
+    /// m == 0) holding each problem's Selection — its time plus the tile
+    /// index and bound the estimate counters need, so metrics-on runs read
+    /// it too. It belongs to the catalogue that filled it and empties
+    /// itself when handed to another simulator. It holds successes only,
+    /// and it stays unallocated until the workspace's second batch, so a
+    /// throwaway workspace never pays for it.
     struct TimeMemo {
       std::shared_ptr<const PreparedCatalogue> owner;
       std::vector<GemmProblem> problems;
-      std::vector<double> times;
+      std::vector<Selection> picks;
       std::size_t used = 0;
       bool warm = false;  ///< a batch already ran through this workspace
     } memo;
   };
 
-  /// Batched estimate: fills out[i] with exactly what estimate(problems[i])
-  /// returns — bit-identical, any cache state, any thread count. The batch
-  /// amortizes the per-call costs: cache probes are grouped per stripe lock
-  /// (EstimateCache::lookup_many) and misses go to the same
-  /// PreparedCatalogue scan estimate() uses. Divergences from N scalar
-  /// calls are confined to best-effort observability: cache hit/miss
-  /// counter splits (a problem repeated within one batch misses each
-  /// time), LRU recency order, and order-dependent (once:/every:)
-  /// failpoint triggers — see docs/search_pipeline.md for the contract.
-  void estimate_many(std::span<const GemmProblem> problems,
-                     std::span<KernelEstimate> out,
-                     BatchWorkspace& workspace) const;
-
-  /// Convenience overload with a throwaway workspace.
-  void estimate_many(std::span<const GemmProblem> problems,
-                     std::span<KernelEstimate> out) const;
-
   /// Times-only batch: out[i] == estimate(problems[i]).time bit-identically,
-  /// but cache hits copy one double instead of a full KernelEstimate. The
-  /// hot call of the batched search pipeline. Misses still compute and
-  /// insert the full estimate, so cache population matches the scalar path.
-  /// Without a cache, metrics or an active EventRecorder, a problem the
-  /// workspace already timed is read back from workspace.memo instead of
-  /// scanned again (docs/search_pipeline.md, "The per-workspace memo").
+  /// any cache state, any thread count, metrics on or off — one path for
+  /// all of them, and the hot call of the batched search pipeline. Without
+  /// a cache each problem resolves through workspace.memo (a repeat is read
+  /// back, not scanned again; docs/search_pipeline.md, "The per-workspace
+  /// memo"); with one, through a per-problem EstimateCache lookup/insert,
+  /// so cache population matches the scalar path. With metrics on it
+  /// counts exactly what N scalar estimate() calls count, tallied locally
+  /// and added to the registry once per batch.
   void estimate_times(std::span<const GemmProblem> problems,
                       std::span<double> out, BatchWorkspace& workspace) const;
 
@@ -120,19 +104,16 @@ class GemmSimulator {
   const std::shared_ptr<EstimateCache>& cache() const { return cache_; }
 
  private:
-  /// Build the batch's cache keys into workspace.keys and size its hit
-  /// flags.
-  void make_keys(std::span<const GemmProblem> problems,
-                 BatchWorkspace& workspace) const;
-  /// Select every problem the cache probe missed (workspace.hit[i] == 0)
-  /// into `estimates` — copying its time to times[i] when `times` is set —
-  /// and insert them with one grouped call.
-  void resolve_misses(std::span<const GemmProblem> problems,
-                      std::span<KernelEstimate> estimates, double* times,
-                      BatchWorkspace& workspace) const;
-  /// The uncached times-only path through workspace.memo.
-  void memoized_times(std::span<const GemmProblem> problems,
-                      std::span<double> out, BatchWorkspace& workspace) const;
+  /// One problem's full estimate into `out`: a cache lookup (a miss is
+  /// selected and inserted) or, with no cache, a scan. Counted into
+  /// `counts` when that is non-null.
+  void resolve(const GemmProblem& problem, EstimateCounts* counts,
+               KernelEstimate& out) const;
+  /// estimate_times' body: per-problem resolve() with a cache, else
+  /// through workspace.memo.
+  void batch_times(std::span<const GemmProblem> problems,
+                   std::span<double> out, BatchWorkspace& workspace,
+                   EstimateCounts* counts) const;
 
   const gpu::GpuSpec* gpu_;  ///< registry-owned, never null
   TilePolicy policy_;

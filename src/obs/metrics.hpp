@@ -216,6 +216,34 @@ class MetricsRegistry {
   SeriesMap<Histogram> histograms_;
 };
 
+/// A counter series of the global registry, resolved on first use and
+/// kept: later events cost one atomic load plus Counter::add — no registry
+/// lock, no string. Resolving lazily keeps a never-counted series out of
+/// snapshots, exactly as a per-event registry.counter() call would. Meant
+/// for static storage (constinit) or for tables owned by long-lived
+/// objects; name and labels must outlive the handle.
+class CounterHandle {
+ public:
+  constexpr explicit CounterHandle(
+      std::string_view name, std::string_view labels = {},
+      Stability stability = Stability::kDeterministic)
+      : name_(name), labels_(labels), stability_(stability) {}
+
+  Counter& get() const {
+    Counter* c = counter_.load(std::memory_order_acquire);
+    if (c != nullptr) return *c;
+    c = &MetricsRegistry::global().counter(name_, labels_, stability_);
+    counter_.store(c, std::memory_order_release);
+    return *c;
+  }
+
+ private:
+  std::string_view name_;
+  std::string_view labels_;
+  Stability stability_;
+  mutable std::atomic<Counter*> counter_{nullptr};
+};
+
 /// RAII wall-clock timer recording elapsed microseconds into a histogram at
 /// scope exit. The (name, labels) constructor resolves against the global
 /// registry only when metrics are enabled at construction — otherwise the

@@ -128,8 +128,10 @@ void walk_layer(const TransformerConfig& config,
     if (op.gemm.has_value()) ws.gemms.push_back(*op.gemm);
   }
   if (with_estimates) {
-    ws.gemm_estimates.resize(ws.gemms.size());
-    sim.estimate_many(ws.gemms, ws.gemm_estimates, ws.batch);
+    ws.gemm_estimates.clear();
+    for (const gemm::GemmProblem& g : ws.gemms) {
+      ws.gemm_estimates.push_back(sim.estimate(g));
+    }
   } else {
     ws.gemm_times.resize(ws.gemms.size());
     sim.estimate_times(ws.gemms, ws.gemm_times, ws.batch);

@@ -95,10 +95,10 @@ struct LayerWorkspace {
 };
 
 /// The one schedule walk behind every layer entry point: lays out
-/// layer_schedule(config) in ws.ops, resolves all of its GEMMs with one
-/// batched call (estimate_many when `with_estimates`, else the times-only
-/// estimate_times), times flash and elementwise ops with non_gemm_timing,
-/// and fills ws.timings in op order.
+/// layer_schedule(config) in ws.ops, resolves its GEMMs (one estimate()
+/// per GEMM when `with_estimates`, else one times-only estimate_times
+/// batch), times flash and elementwise ops with non_gemm_timing, and fills
+/// ws.timings in op order.
 void walk_layer(const TransformerConfig& config,
                 const gemm::GemmSimulator& sim, LayerWorkspace& ws,
                 bool with_estimates);

@@ -1,8 +1,9 @@
 // Tests for the attribution & sensitivity layer (PR 9's tentpole):
 //   * gemm::bound_breakdown is a complete decomposition (fractions sum to
-//     1) and is bit-identical between the scalar estimate() path and the
-//     batched estimate_many() path — including a shared cache hammered by
-//     8 threads and the kFixedLargest degenerate-tile corner,
+//     1) and is bit-identical whether estimate() scanned or read the cache,
+//     and in the with-estimates layer walk behind analyze_layer — including
+//     a shared cache hammered by 8 threads and the kFixedLargest
+//     degenerate-tile corner,
 //   * tfm::attribute_layer / attribute_model reproduce analyze_layer /
 //     analyze_model totals bit-for-bit and their rollups are internally
 //     consistent (shares, branch split, bound histogram),
@@ -24,6 +25,7 @@
 #include "gemmsim/kernel_model.hpp"
 #include "gemmsim/simulator.hpp"
 #include "transformer/attribution.hpp"
+#include "transformer/gemm_mapping.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
 
@@ -112,17 +114,43 @@ void expect_bit_identical(const BoundBreakdown& a, const BoundBreakdown& b,
   EXPECT_EQ(a.wave_tail, b.wave_tail) << what;
 }
 
-TEST(BoundBreakdown, ScalarAndBatchedPathsAreBitIdentical) {
+/// The breakdowns of a layer's GEMMs from the with-estimates walk behind
+/// analyze_layer (one estimate() per GEMM, cached or not).
+std::vector<BoundBreakdown> walked_breakdowns(const tfm::TransformerConfig& cfg,
+                                              const GemmSimulator& sim) {
+  tfm::LayerWorkspace ws;
+  tfm::walk_layer(cfg, sim, ws, /*with_estimates=*/true);
+  std::vector<BoundBreakdown> out;
+  for (const KernelEstimate& e : ws.gemm_estimates) {
+    out.push_back(gemm::bound_breakdown(e));
+  }
+  return out;
+}
+
+TEST(BoundBreakdown, CachedUncachedAndLayerWalkAreBitIdentical) {
+  const tfm::TransformerConfig cfg = tfm::model_by_name("gpt3-2.7b");
+  const std::vector<GemmProblem> gemms = tfm::layer_gemms(cfg);
   for (const TilePolicy policy :
        {TilePolicy::kAuto, TilePolicy::kFixedLargest}) {
-    const GemmSimulator sim = GemmSimulator::for_gpu("a100", policy);
-    const std::vector<GemmProblem> problems = problem_mix();
-    std::vector<KernelEstimate> batched(problems.size());
-    sim.estimate_many(problems, batched);
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      expect_bit_identical(gemm::bound_breakdown(sim.estimate(problems[i])),
-                           gemm::bound_breakdown(batched[i]),
-                           problems[i].to_string());
+    const GemmSimulator uncached = GemmSimulator::for_gpu("a100", policy);
+    GemmSimulator cached = GemmSimulator::for_gpu("a100", policy);
+    cached.enable_cache();
+    for (const GemmProblem& p : problem_mix()) {
+      const BoundBreakdown reference =
+          gemm::bound_breakdown(uncached.estimate(p));
+      expect_bit_identical(reference, gemm::bound_breakdown(cached.estimate(p)),
+                           p.to_string() + " miss");
+      expect_bit_identical(reference, gemm::bound_breakdown(cached.estimate(p)),
+                           p.to_string() + " hit");
+    }
+    const GemmSimulator* sims[] = {&uncached, &cached, &cached};
+    for (const GemmSimulator* sim : sims) {
+      const std::vector<BoundBreakdown> walked = walked_breakdowns(cfg, *sim);
+      ASSERT_EQ(walked.size(), gemms.size());
+      for (std::size_t i = 0; i < gemms.size(); ++i) {
+        expect_bit_identical(gemm::bound_breakdown(uncached.estimate(gemms[i])),
+                             walked[i], gemms[i].to_string());
+      }
     }
   }
 }
@@ -130,36 +158,46 @@ TEST(BoundBreakdown, ScalarAndBatchedPathsAreBitIdentical) {
 TEST(BoundBreakdown, SharedCacheEightThreadLockstep) {
   GemmSimulator sim = GemmSimulator::for_gpu("a100");
   sim.enable_cache();
+  const GemmSimulator uncached = GemmSimulator::for_gpu("a100");
   const std::vector<GemmProblem> problems = problem_mix();
-  // Scalar reference first — the batched workers below will mostly hit the
-  // cache those calls populated, which must not change a single bit.
+  const tfm::TransformerConfig cfg = tfm::model_by_name("gpt3-2.7b");
+  const std::vector<GemmProblem> gemms = tfm::layer_gemms(cfg);
   std::vector<BoundBreakdown> reference;
-  reference.reserve(problems.size());
   for (const GemmProblem& p : problems) {
-    reference.push_back(gemm::bound_breakdown(sim.estimate(p)));
+    reference.push_back(gemm::bound_breakdown(uncached.estimate(p)));
   }
+  std::vector<BoundBreakdown> layer_reference;
+  for (const GemmProblem& p : gemms) {
+    layer_reference.push_back(gemm::bound_breakdown(uncached.estimate(p)));
+  }
+  // Eight threads race estimate() and layer walks through one shared cache
+  // (misses, racing misses and hits), which must not change a single bit.
   constexpr int kThreads = 8;
-  std::vector<std::vector<BoundBreakdown>> results(
-      kThreads, std::vector<BoundBreakdown>(problems.size()));
+  std::vector<std::vector<BoundBreakdown>> results(kThreads);
+  std::vector<std::vector<BoundBreakdown>> layer_results(kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
-      GemmSimulator::BatchWorkspace workspace;
-      std::vector<KernelEstimate> out(problems.size());
-      sim.estimate_many(problems, out, workspace);
-      for (std::size_t i = 0; i < problems.size(); ++i) {
-        results[static_cast<std::size_t>(t)][i] =
-            gemm::bound_breakdown(out[i]);
+      const auto slot = static_cast<std::size_t>(t);
+      for (const GemmProblem& p : problems) {
+        results[slot].push_back(gemm::bound_breakdown(sim.estimate(p)));
       }
+      layer_results[slot] = walked_breakdowns(cfg, sim);
     });
   }
   for (std::thread& w : workers) w.join();
   for (int t = 0; t < kThreads; ++t) {
+    const auto slot = static_cast<std::size_t>(t);
+    ASSERT_EQ(results[slot].size(), problems.size());
     for (std::size_t i = 0; i < problems.size(); ++i) {
-      expect_bit_identical(reference[i],
-                           results[static_cast<std::size_t>(t)][i],
+      expect_bit_identical(reference[i], results[slot][i],
                            problems[i].to_string());
+    }
+    ASSERT_EQ(layer_results[slot].size(), gemms.size());
+    for (std::size_t i = 0; i < gemms.size(); ++i) {
+      expect_bit_identical(layer_reference[i], layer_results[slot][i],
+                           gemms[i].to_string());
     }
   }
 }
@@ -168,7 +206,7 @@ TEST(BoundBreakdown, SharedCacheEightThreadLockstep) {
 /// entirely overhead: one tile on a many-SM GPU is a partial wave
 /// (wave_tail), the padded math is tile_waste, and the launch floor is a
 /// fixed cost. Useful compute must be negligible, and the breakdown must
-/// still match the batched path bit for bit.
+/// still match the cached path bit for bit.
 TEST(BoundBreakdown, FixedLargestDegenerateTile) {
   const GemmSimulator sim =
       GemmSimulator::for_gpu("a100", TilePolicy::kFixedLargest);
@@ -179,10 +217,12 @@ TEST(BoundBreakdown, FixedLargestDegenerateTile) {
   EXPECT_GT(b.launch + b.tile_waste + b.wave_tail, 0.99)
       << "an 8x8x8 GEMM on the largest tile is nearly all overhead";
   EXPECT_LT(b.compute, 0.01) << "useful math is 512 FLOPs — negligible";
-  std::vector<KernelEstimate> batched(1);
-  sim.estimate_many(std::vector<GemmProblem>{tiny}, batched);
-  expect_bit_identical(b, gemm::bound_breakdown(batched[0]),
-                       tiny.to_string());
+  GemmSimulator cached = sim;
+  cached.enable_cache();
+  for (int round = 0; round < 2; ++round) {  // miss, then hit
+    expect_bit_identical(b, gemm::bound_breakdown(cached.estimate(tiny)),
+                         tiny.to_string());
+  }
 }
 
 // ---------------------------------------------------------------------

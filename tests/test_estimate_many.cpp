@@ -1,13 +1,16 @@
 // Tests for the one estimation engine: GemmSimulator::estimate /
-// estimate_many / estimate_times, the PreparedCatalogue scan behind them,
-// and EstimateCache::lookup_many / insert_many. The oracle is the naive
-// select_kernel reference: every entry point must match it field for
-// field, in every cache state, at any thread count, and under failpoint
-// drills the same candidates fault either way.
+// estimate_times, the PreparedCatalogue scan behind them, and the
+// with-estimates layer walk (one estimate() per GEMM). The oracle is the
+// naive select_kernel reference: every entry point must match it field for
+// field, in every cache state, at any thread count, with metrics on or
+// off, and under failpoint drills the same candidates fault either way.
+// With metrics on, a batch must count exactly what N scalar estimate()
+// calls count — memo hits included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "gemmsim/simulator.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "transformer/gemm_mapping.hpp"
 #include "transformer/layer_model.hpp"
 #include "transformer/model_zoo.hpp"
 
@@ -74,7 +78,7 @@ TEST(PreparedCatalogue, EstimateOneMatchesSelectKernel) {
   EXPECT_EQ(prepared.tile_count(), gpu::default_tile_catalogue().size());
   for (const GemmProblem& p : shape_set()) {
     expect_identical(select_kernel(p, gpu), prepared.estimate_one(p));
-    EXPECT_EQ(prepared.time_one(p), prepared.estimate_one(p).time);
+    EXPECT_EQ(prepared.select(p, nullptr).time, prepared.estimate_one(p).time);
   }
 }
 
@@ -85,7 +89,7 @@ TEST(PreparedCatalogue, FixedLargestDegeneratesToOneTile) {
   for (const GemmProblem& p : shape_set()) {
     expect_identical(estimate_with_tile(p, gpu::largest_tile(), gpu),
                      prepared.estimate_one(p));
-    EXPECT_EQ(prepared.time_one(p), prepared.estimate_one(p).time);
+    EXPECT_EQ(prepared.select(p, nullptr).time, prepared.estimate_one(p).time);
   }
 }
 
@@ -110,17 +114,15 @@ TEST(OneEngine, EveryEntryPointMatchesTheReference) {
         GemmSimulator sim(gpu, policy);
         if (cached) sim.enable_cache();
         GemmSimulator::BatchWorkspace ws;
-        // Two rounds: cold, then (with the cache on) all hits.
-        for (int round = 0; round < 2; ++round) {
-          std::vector<KernelEstimate> batch(shapes.size());
-          sim.estimate_many(shapes, batch, ws);
+        // Three rounds: cold, then (with the cache on) all hits, and
+        // without it the workspace memo answering from round two on.
+        for (int round = 0; round < 3; ++round) {
           std::vector<double> times(shapes.size());
           sim.estimate_times(shapes, times, ws);
           for (std::size_t i = 0; i < shapes.size(); ++i) {
             const KernelEstimate ref =
                 reference_estimate(shapes[i], policy, gpu);
             expect_identical(ref, sim.estimate(shapes[i]));
-            expect_identical(ref, batch[i]);
             EXPECT_EQ(ref.time, times[i]);
           }
         }
@@ -177,20 +179,37 @@ TEST(OneEngine, ScanRecordsOneSelectEventPerTile) {
   EXPECT_EQ(selected, 1);
 }
 
-TEST(EstimateMany, ColdNoCacheLockstep) {
+/// The GEMMs of a layer walked with estimates: the with-estimates walk
+/// behind analyze_layer, one estimate() per GEMM.
+std::vector<KernelEstimate> walked_estimates(const tfm::TransformerConfig& cfg,
+                                             const GemmSimulator& sim) {
+  tfm::LayerWorkspace ws;
+  tfm::walk_layer(cfg, sim, ws, /*with_estimates=*/true);
+  return ws.gemm_estimates;
+}
+
+TEST(EstimateTimes, LayerWalkWithEstimatesMatchesTheReference) {
+  const tfm::TransformerConfig cfg = tfm::model_by_name("gpt3-2.7b");
+  const std::vector<GemmProblem> gemms = tfm::layer_gemms(cfg);
   for (const TilePolicy policy :
        {TilePolicy::kAuto, TilePolicy::kFixedLargest}) {
-    const GemmSimulator sim(gpu::gpu_by_name("a100"), policy);
-    const std::vector<GemmProblem> shapes = shape_set();
-    std::vector<KernelEstimate> batch(shapes.size());
-    sim.estimate_many(shapes, batch);
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      expect_identical(sim.estimate(shapes[i]), batch[i]);
+    for (const bool cached : {false, true}) {
+      GemmSimulator sim(gpu::gpu_by_name("a100"), policy);
+      if (cached) sim.enable_cache();
+      for (int round = 0; round < 2; ++round) {  // cold, then warm
+        const std::vector<KernelEstimate> walked = walked_estimates(cfg, sim);
+        ASSERT_EQ(walked.size(), gemms.size());
+        for (std::size_t i = 0; i < gemms.size(); ++i) {
+          expect_identical(
+              reference_estimate(gemms[i], policy, gpu::gpu_by_name("a100")),
+              walked[i]);
+        }
+      }
     }
   }
 }
 
-TEST(EstimateMany, ColdAndWarmCacheLockstep) {
+TEST(EstimateTimes, ColdAndWarmCacheLockstep) {
   const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
   GemmSimulator scalar(gpu);
   GemmSimulator batched(gpu);
@@ -202,35 +221,68 @@ TEST(EstimateMany, ColdAndWarmCacheLockstep) {
   for (const GemmProblem& p : shapes) scalar_out.push_back(scalar.estimate(p));
 
   GemmSimulator::BatchWorkspace ws;
-  std::vector<KernelEstimate> cold(shapes.size());
-  batched.estimate_many(shapes, cold, ws);  // all misses
-  std::vector<KernelEstimate> warm(shapes.size());
-  batched.estimate_many(shapes, warm, ws);  // all hits
+  std::vector<double> cold(shapes.size());
+  batched.estimate_times(shapes, cold, ws);  // all misses
+  std::vector<double> warm(shapes.size());
+  batched.estimate_times(shapes, warm, ws);  // all hits
   const CacheStats stats = batched.cache()->stats();
   EXPECT_EQ(stats.misses, shapes.size());
   EXPECT_EQ(stats.hits, shapes.size());
 
   for (std::size_t i = 0; i < shapes.size(); ++i) {
-    expect_identical(scalar_out[i], cold[i]);
-    expect_identical(scalar_out[i], warm[i]);
-    // Crossover: the batch-populated cache serves scalar reads bit-exactly.
+    EXPECT_EQ(scalar_out[i].time, cold[i]);
+    EXPECT_EQ(scalar_out[i].time, warm[i]);
+    // Crossover: the batch-populated cache serves full scalar reads
+    // bit-exactly.
     expect_identical(scalar_out[i], batched.estimate(shapes[i]));
   }
 }
 
-TEST(EstimateMany, DuplicateProblemsWithinOneBatch) {
+TEST(EstimateTimes, DuplicateProblemsWithinOneBatch) {
   GemmSimulator sim = GemmSimulator::for_gpu("a100");
   sim.enable_cache();
   const GemmProblem p = problem(640, 640, 640);
   const std::vector<GemmProblem> shapes = {p, p, p};
-  std::vector<KernelEstimate> out(shapes.size());
-  sim.estimate_many(shapes, out);
+  GemmSimulator::BatchWorkspace ws;
+  std::vector<double> out(shapes.size());
+  sim.estimate_times(shapes, out, ws);
   const KernelEstimate reference = select_kernel(p, gpu::gpu_by_name("a100"));
-  for (const KernelEstimate& e : out) expect_identical(reference, e);
-  EXPECT_EQ(sim.cache()->stats().entries, 1u);  // stored once
+  for (const double t : out) EXPECT_EQ(reference.time, t);
+  // Per-problem lookup/insert: the first copy misses and is stored, the
+  // copies after it hit.
+  const CacheStats stats = sim.cache()->stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
 }
 
-TEST(EstimateMany, EstimateTimesMatchesEstimateBitForBit) {
+TEST(EstimateTimes, CacheLookupDrillFiresOncePerKeyInInputOrder) {
+  const std::vector<GemmProblem> shapes = shape_set();
+  const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
+  for (std::size_t k = 1; k <= shapes.size(); ++k) {
+    SCOPED_TRACE("once:" + std::to_string(k));
+    GemmSimulator sim(gpu);
+    sim.enable_cache();
+    GemmSimulator::BatchWorkspace ws;
+    std::vector<double> out(shapes.size());
+    fail::clear();
+    fail::configure("gemmsim.cache.lookup=once:" + std::to_string(k));
+    EXPECT_THROW(sim.estimate_times(shapes, out, ws), fail::InjectedFault);
+    const fail::SiteStats site = fail::stats("gemmsim.cache.lookup");
+    fail::clear();
+    // The k-th lookup threw: exactly k keys were probed, and exactly the
+    // k - 1 problems before it in input order were resolved and stored.
+    EXPECT_EQ(site.hits, k);
+    EXPECT_EQ(site.fires, 1u);
+    EXPECT_EQ(sim.cache()->stats().entries, k - 1);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const EstimateCache::Key key{shapes[i], TilePolicy::kAuto, &gpu};
+      EXPECT_EQ(sim.cache()->lookup(key, nullptr), i + 1 < k) << i;
+    }
+  }
+}
+
+TEST(EstimateTimes, EstimateTimesMatchesEstimateBitForBit) {
   GemmSimulator sim = GemmSimulator::for_gpu("a100");
   sim.enable_cache();
   const std::vector<GemmProblem> shapes = shape_set();
@@ -251,38 +303,54 @@ TEST(EstimateMany, EstimateTimesMatchesEstimateBitForBit) {
   }
 }
 
-TEST(EstimateMany, MetricsOnPathStaysLockstep) {
-  obs::MetricsRegistry::set_enabled(true);
+TEST(EstimateTimes, MetricsOnPathStaysLockstep) {
+  const tfm::TransformerConfig cfg = tfm::model_by_name("gpt3-2.7b");
+  const std::vector<GemmProblem> gemms = tfm::layer_gemms(cfg);
   const std::vector<GemmProblem> shapes = shape_set();
-  GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  sim.enable_cache();
-  GemmSimulator::BatchWorkspace ws;
-  std::vector<KernelEstimate> out(shapes.size());
-  sim.estimate_many(shapes, out, ws);
-  std::vector<double> times(shapes.size());
-  sim.estimate_times(shapes, times, ws);
-  obs::MetricsRegistry::set_enabled(false);
   const GemmSimulator reference = GemmSimulator::for_gpu("a100");
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    expect_identical(reference.estimate(shapes[i]), out[i]);
-    EXPECT_EQ(reference.estimate(shapes[i]).time, times[i]);
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "cached" : "uncached");
+    GemmSimulator sim = GemmSimulator::for_gpu("a100");
+    if (cached) sim.enable_cache();
+    obs::MetricsRegistry::set_enabled(true);
+    GemmSimulator::BatchWorkspace ws;
+    std::vector<std::vector<double>> rounds;
+    for (int round = 0; round < 3; ++round) {  // cold, then warm
+      std::vector<double> times(shapes.size());
+      sim.estimate_times(shapes, times, ws);
+      rounds.push_back(times);
+    }
+    const std::vector<KernelEstimate> walked = walked_estimates(cfg, sim);
+    obs::MetricsRegistry::set_enabled(false);
+    for (const std::vector<double>& times : rounds) {
+      for (std::size_t i = 0; i < shapes.size(); ++i) {
+        EXPECT_EQ(reference.estimate(shapes[i]).time, times[i]);
+      }
+    }
+    for (std::size_t i = 0; i < gemms.size(); ++i) {
+      expect_identical(reference.estimate(gemms[i]), walked[i]);
+    }
   }
 }
 
-TEST(EstimateMany, SharedCacheAcrossThreadsStaysExact) {
+TEST(EstimateTimes, SharedCacheAcrossThreadsStaysExact) {
   GemmSimulator sim = GemmSimulator::for_gpu("a100");
   sim.enable_cache();
   const GemmSimulator reference = GemmSimulator::for_gpu("a100");
+  const tfm::TransformerConfig cfg = tfm::model_by_name("gpt3-2.7b");
+  const std::vector<GemmProblem> gemms = tfm::layer_gemms(cfg);
 
-  // 8 threads push overlapping batches through one shared cache; every
-  // element of every batch must match the uncached scalar answer exactly.
+  // 8 threads push overlapping batches and with-estimates layer walks
+  // through one shared cache; every element must match the uncached scalar
+  // answer exactly.
   std::vector<std::thread> workers;
   std::vector<int> failures(8, 0);
   for (int w = 0; w < 8; ++w) {
-    workers.emplace_back([w, &sim, &reference, &failures] {
+    workers.emplace_back([w, &sim, &reference, &failures, &cfg, &gemms] {
       GemmSimulator::BatchWorkspace ws;
       std::vector<GemmProblem> batch;
-      std::vector<KernelEstimate> out;
+      std::vector<double> out;
+      int& failed = failures[static_cast<std::size_t>(w)];
       for (int round = 0; round < 20; ++round) {
         batch.clear();
         for (int j = 0; j < 6; ++j) {
@@ -290,10 +358,19 @@ TEST(EstimateMany, SharedCacheAcrossThreadsStaysExact) {
           batch.push_back(GemmProblem::gemm(m, 2560, 2560));
         }
         out.resize(batch.size());
-        sim.estimate_many(batch, out, ws);
+        sim.estimate_times(batch, out, ws);
         for (std::size_t j = 0; j < batch.size(); ++j) {
-          if (out[j].time != reference.estimate(batch[j]).time) {
-            ++failures[static_cast<std::size_t>(w)];
+          if (out[j] != reference.estimate(batch[j]).time) ++failed;
+        }
+        if (round % 5 == 0) {
+          const std::vector<KernelEstimate> walked = walked_estimates(cfg, sim);
+          for (std::size_t j = 0; j < gemms.size(); ++j) {
+            const KernelEstimate ref = reference.estimate(gemms[j]);
+            if (walked[j].time != ref.time ||
+                walked[j].tile.tm != ref.tile.tm ||
+                walked[j].tile.tn != ref.tile.tn) {
+              ++failed;
+            }
           }
         }
       }
@@ -301,59 +378,11 @@ TEST(EstimateMany, SharedCacheAcrossThreadsStaysExact) {
   }
   for (std::thread& t : workers) t.join();
   for (int f : failures) EXPECT_EQ(f, 0);
-  EXPECT_LE(sim.cache()->stats().entries, 10u);  // 10 distinct shapes
+  // 10 distinct batch shapes plus the layer's GEMMs, each stored once.
+  EXPECT_LE(sim.cache()->stats().entries, 10u + gemms.size());
 }
 
-TEST(EstimateCacheBatch, LookupManyInsertManyRoundTrip) {
-  EstimateCache cache;
-  const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
-  const std::vector<GemmProblem> shapes = shape_set();
-
-  std::vector<EstimateCache::Key> keys;
-  std::vector<KernelEstimate> estimates;
-  for (const GemmProblem& p : shapes) {
-    keys.push_back(EstimateCache::Key{p, TilePolicy::kAuto, &gpu});
-    estimates.push_back(select_kernel(p, gpu));
-  }
-
-  EstimateCache::BatchScratch scratch;
-  std::vector<KernelEstimate> out(keys.size());
-  std::vector<std::uint8_t> hit(keys.size(), 2);
-  EXPECT_EQ(cache.lookup_many(keys, out.data(), hit.data(), scratch), 0u);
-  for (const std::uint8_t h : hit) EXPECT_EQ(h, 0);
-
-  // Insert only the odd-indexed keys; the rest stay absent.
-  std::vector<std::uint8_t> miss(keys.size(), 0);
-  for (std::size_t i = 1; i < keys.size(); i += 2) miss[i] = 1;
-  cache.insert_many(keys, estimates, miss.data(), scratch);
-
-  std::fill(hit.begin(), hit.end(), 2);
-  const std::size_t hits =
-      cache.lookup_many(keys, out.data(), hit.data(), scratch);
-  EXPECT_EQ(hits, keys.size() / 2);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(hit[i], i % 2 == 0 ? 0 : 1);
-    if (hit[i]) expect_identical(estimates[i], out[i]);
-  }
-
-  // Times-only twin: same hit set, just the .time field.
-  std::vector<double> times(keys.size(), -1.0);
-  std::fill(hit.begin(), hit.end(), 2);
-  EXPECT_EQ(cache.lookup_times_many(keys, times.data(), hit.data(), scratch),
-            keys.size() / 2);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (hit[i]) {
-      EXPECT_EQ(times[i], estimates[i].time);
-    }
-  }
-
-  // insert_many never clobbers present entries (racing-miss semantics), and
-  // a null miss mask means "insert everything absent".
-  cache.insert_many(keys, estimates, nullptr, scratch);
-  EXPECT_EQ(cache.stats().entries, keys.size());
-}
-
-TEST(EstimateCacheBatch, KeyHashMemoIsTransparent) {
+TEST(EstimateCacheKey, HashMemoIsTransparent) {
   const gpu::GpuSpec& gpu = gpu::gpu_by_name("a100");
   const EstimateCache::Key a{problem(512, 512, 512), TilePolicy::kAuto, &gpu};
   EstimateCache::Key b = a;
@@ -393,10 +422,10 @@ std::vector<bool> batched_fault_set(const std::vector<GemmProblem>& shapes,
     if (with_cache) sim.enable_cache();
     // One candidate's GEMMs per batch, the search pipeline's granularity.
     const std::vector<GemmProblem> batch = {p};
-    std::vector<KernelEstimate> out(batch.size());
+    std::vector<double> out(batch.size());
     bool f = false;
     try {
-      sim.estimate_many(batch, out, ws);
+      sim.estimate_times(batch, out, ws);
     } catch (const fail::InjectedFault&) {
       f = true;
     }
@@ -405,7 +434,7 @@ std::vector<bool> batched_fault_set(const std::vector<GemmProblem>& shapes,
   return faulted;
 }
 
-TEST(EstimateMany, SelectKernelDrillFaultsSameCandidates) {
+TEST(EstimateTimes, SelectKernelDrillFaultsSameCandidates) {
   const std::vector<GemmProblem> shapes = shape_set();
   fail::clear();
   fail::configure("gemmsim.select_kernel=prob:0.5:1234");
@@ -417,7 +446,7 @@ TEST(EstimateMany, SelectKernelDrillFaultsSameCandidates) {
   EXPECT_NE(std::count(scalar.begin(), scalar.end(), true), 0);
 }
 
-TEST(EstimateMany, CacheLookupDrillFaultsSameCandidates) {
+TEST(EstimateTimes, CacheLookupDrillFaultsSameCandidates) {
   const std::vector<GemmProblem> shapes = shape_set();
   fail::clear();
   fail::configure("gemmsim.cache.lookup=prob:0.5:77");
@@ -428,7 +457,7 @@ TEST(EstimateMany, CacheLookupDrillFaultsSameCandidates) {
   EXPECT_NE(std::count(scalar.begin(), scalar.end(), true), 0);
 }
 
-TEST(EstimateMany, MultiProblemBatchThrowsIffAnyMemberFaults) {
+TEST(EstimateTimes, MultiProblemBatchThrowsIffAnyMemberFaults) {
   const std::vector<GemmProblem> shapes = shape_set();
   fail::clear();
   fail::configure("gemmsim.select_kernel=prob:0.5:1234");
@@ -436,10 +465,11 @@ TEST(EstimateMany, MultiProblemBatchThrowsIffAnyMemberFaults) {
   const bool any_scalar =
       std::count(scalar.begin(), scalar.end(), true) != 0;
   const GemmSimulator sim = GemmSimulator::for_gpu("a100");
-  std::vector<KernelEstimate> out(shapes.size());
+  GemmSimulator::BatchWorkspace ws;
+  std::vector<double> out(shapes.size());
   bool batch_threw = false;
   try {
-    sim.estimate_many(shapes, out);
+    sim.estimate_times(shapes, out, ws);
   } catch (const fail::InjectedFault&) {
     batch_threw = true;
   }
@@ -530,6 +560,89 @@ TEST(TimeMemo, SelectKernelDrillFaultsTheSameProblemsWithAndWithoutRepeats) {
   EXPECT_NE(std::count(scalar.begin(), scalar.end(), true), 0);
   EXPECT_NE(std::count(scalar.begin(), scalar.end(), false), 0);
   EXPECT_TRUE(twice_threw);
+}
+
+/// The non-zero gemmsim.estimate.* series of the global registry, keyed
+/// "name{labels}".
+std::map<std::string, std::uint64_t> estimate_series() {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& s : obs::MetricsRegistry::global().snapshot().series) {
+    if (s.name.starts_with("gemmsim.estimate.") && s.count != 0) {
+      out[s.name + "{" + s.labels + "}"] = s.count;
+    }
+  }
+  return out;
+}
+
+/// What those series must read after counting `estimates`, tallied here
+/// from the estimates' own fields.
+std::map<std::string, std::uint64_t> expected_series(
+    const std::vector<KernelEstimate>& estimates) {
+  std::map<std::string, std::uint64_t> out;
+  for (const KernelEstimate& e : estimates) {
+    ++out["gemmsim.estimate.calls{}"];
+    ++out["gemmsim.estimate.tile{tile=" + e.tile.name() + "}"];
+    ++out["gemmsim.estimate.bound{bound=" + std::string(bound_name(e.bound)) +
+          "}"];
+    out["gemmsim.estimate.waves{}"] +=
+        static_cast<std::uint64_t>(e.wave_q.waves);
+    out["gemmsim.estimate.blocks{}"] +=
+        static_cast<std::uint64_t>(e.tile_q.tiles_total);
+  }
+  return out;
+}
+
+TEST(TimeMemo, MetricsOnBatchCountsWhatScalarEstimatesCount) {
+  // Enough distinct shapes to grow the memo past its first table, each
+  // twice per batch (the second pass reversed).
+  std::vector<GemmProblem> distinct = shape_set();
+  for (int i = 0; i < 70; ++i) {
+    distinct.push_back(problem(64 + 96 * i, 2560 - 16 * i, 1024 + 8 * i));
+  }
+  std::vector<GemmProblem> batch = distinct;
+  batch.insert(batch.end(), distinct.rbegin(), distinct.rend());
+
+  GemmSimulator::BatchWorkspace ws;  // handed between the simulators below
+  const std::pair<const char*, TilePolicy> sims[] = {
+      {"a100", TilePolicy::kAuto},
+      {"h100", TilePolicy::kAuto},
+      {"a100", TilePolicy::kFixedLargest},
+      {"a100", TilePolicy::kAuto},  // back again: no stale h100/fixed picks
+  };
+  auto& reg = obs::MetricsRegistry::global();
+  for (const auto& [id, policy] : sims) {
+    const gpu::GpuSpec& gpu = gpu::gpu_by_name(id);
+    const GemmSimulator sim(gpu, policy);
+    SCOPED_TRACE(std::string(id) +
+                 (policy == TilePolicy::kAuto ? " auto" : " fixed"));
+    std::vector<KernelEstimate> reference;
+    for (const GemmProblem& p : batch) {
+      reference.push_back(reference_estimate(p, policy, gpu));
+    }
+    const std::map<std::string, std::uint64_t> expected =
+        expected_series(reference);
+    // Round 0 may scan (a fresh workspace's first batch); the later rounds
+    // read every problem back from the memo.
+    for (int round = 0; round < 3; ++round) {
+      obs::MetricsRegistry::set_enabled(true);
+      reg.reset_values();
+      std::vector<double> times(batch.size());
+      sim.estimate_times(batch, times, ws);
+      const std::map<std::string, std::uint64_t> batched = estimate_series();
+      reg.reset_values();
+      for (const GemmProblem& p : batch) sim.estimate(p);
+      const std::map<std::string, std::uint64_t> scalar = estimate_series();
+      obs::MetricsRegistry::set_enabled(false);
+      EXPECT_EQ(expected, batched) << "round " << round;
+      EXPECT_EQ(expected, scalar) << "round " << round;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(reference[i].time, times[i]);
+      }
+    }
+    EXPECT_EQ(ws.memo.owner.get(), &sim.prepared());
+    EXPECT_EQ(ws.memo.used, distinct.size());
+  }
+  reg.reset_values();
 }
 
 TEST(TimeMemo, ActiveRecorderScansEveryProblem) {

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
@@ -497,6 +498,99 @@ TEST_F(ObsTest, DeterministicSeriesByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one, four);
   EXPECT_NE(one.find("gemmsim.estimate.calls"), std::string::npos);
   EXPECT_NE(one.find("advisor.search.runs"), std::string::npos);
+}
+
+/// A fixed explicit grid around `base`: hidden sizes x legal head counts x
+/// micro-batches, so the candidates' GEMMs repeat within and across
+/// candidates (memo and cache hits) and span several tiles and bounds.
+std::vector<tfm::TransformerConfig> oracle_grid(
+    const tfm::TransformerConfig& base) {
+  std::vector<tfm::TransformerConfig> grid;
+  for (const std::int64_t h : {512, 640, 768, 896, 1024}) {
+    for (const std::int64_t a : {8, 16}) {
+      for (const std::int64_t b : {1, 4}) {
+        tfm::TransformerConfig cfg =
+            base.with_hidden(h).with_heads(a).with_microbatch(b);
+        cfg.name = "oracle_h" + std::to_string(h) + "_a" + std::to_string(a) +
+                   "_b" + std::to_string(b);
+        grid.push_back(cfg);
+      }
+    }
+  }
+  return grid;
+}
+
+/// The value of one counter series in a deterministic snapshot.
+std::uint64_t series_count(const obs::MetricsSnapshot& snap,
+                           const std::string& name,
+                           const std::string& labels = "") {
+  for (const auto& s : snap.series) {
+    if (s.name == name && s.labels == labels) return s.count;
+  }
+  return 0;
+}
+
+// The deterministic snapshot of a grid search is byte-identical across
+// thread counts and cache states — the uncached runs resolve through the
+// per-workspace memo, the cached ones through the shared cache — and its
+// gemmsim.estimate.* series equal totals computed here from scalar
+// estimate() over the baseline's and every candidate's layer GEMMs.
+TEST_F(ObsTest, GridSearchEstimateSeriesMatchScalarTotalsAtAnyThreadCount) {
+  const auto& base = tfm::model_by_name("gpt3-125m");
+  const std::vector<tfm::TransformerConfig> grid = oracle_grid(base);
+
+  // The oracle, with metrics off: one scalar estimate() per layer GEMM.
+  std::uint64_t calls = 0, waves = 0, blocks = 0;
+  std::map<std::string, std::uint64_t> tiles, bounds;
+  {
+    const auto reference = gemm::GemmSimulator::for_gpu("a100");
+    std::vector<tfm::TransformerConfig> evaluated = grid;
+    evaluated.push_back(base);
+    for (const tfm::TransformerConfig& cfg : evaluated) {
+      for (const gemm::GemmProblem& p : tfm::layer_gemms(cfg)) {
+        const gemm::KernelEstimate e = reference.estimate(p);
+        ++calls;
+        waves += static_cast<std::uint64_t>(e.wave_q.waves);
+        blocks += static_cast<std::uint64_t>(e.tile_q.tiles_total);
+        ++tiles["tile=" + e.tile.name()];
+        ++bounds[std::string("bound=") + gemm::bound_name(e.bound)];
+      }
+    }
+  }
+
+  MetricsRegistry::set_enabled(true);
+  std::vector<std::string> snapshots;
+  for (const bool cached : {false, true}) {
+    for (const std::size_t threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(std::string(cached ? "cached" : "uncached") + " threads " +
+                   std::to_string(threads));
+      MetricsRegistry::global().reset_values();
+      auto sim = gemm::GemmSimulator::for_gpu("a100");
+      if (cached) sim.enable_cache();
+      advisor::SearchOptions options;
+      options.threads = threads;
+      const advisor::SearchOutcome outcome =
+          advisor::run_grid_search(grid, base, sim, options);
+      EXPECT_EQ(outcome.evaluated, grid.size());
+      const obs::MetricsSnapshot snap =
+          MetricsRegistry::global().snapshot({.include_best_effort = false});
+      EXPECT_EQ(series_count(snap, "gemmsim.estimate.calls"), calls);
+      EXPECT_EQ(series_count(snap, "gemmsim.estimate.waves"), waves);
+      EXPECT_EQ(series_count(snap, "gemmsim.estimate.blocks"), blocks);
+      for (const auto& [labels, n] : tiles) {
+        EXPECT_EQ(series_count(snap, "gemmsim.estimate.tile", labels), n)
+            << labels;
+      }
+      for (const auto& [labels, n] : bounds) {
+        EXPECT_EQ(series_count(snap, "gemmsim.estimate.bound", labels), n)
+            << labels;
+      }
+      snapshots.push_back(snap.to_json());
+    }
+  }
+  for (const std::string& snap : snapshots) EXPECT_EQ(snapshots.front(), snap);
+  EXPECT_GT(tiles.size(), 1u);
+  EXPECT_GT(bounds.size(), 1u);
 }
 
 // Simulated-clock traces are byte-identical at any thread count: the
